@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "core/batch_runner.hpp"
+#include "core/catalog_run.hpp"
 #include "util/cdf.hpp"
 #include "util/table.hpp"
 #include "util/thread_pool.hpp"
@@ -120,14 +121,13 @@ class Flags {
   std::string profile_out() const { return get_str("profile-out", ""); }
 
   /// `--heartbeat SECS`: opt-in batch progress heartbeat — one stderr line
-  /// every SECS seconds (jobs done, events/s, ETA, steal count; plus
-  /// per-lane events/s and merge-queue depth for sharded jobs). 0 = off.
+  /// every SECS seconds (jobs done, events/s, ETA, steal count). 0 = off.
   double heartbeat() const { return get("heartbeat", 0.0); }
 
   /// `--timeseries-out PATH`: write the time-resolved telemetry artifact —
   /// per-run deterministic sample rows/spans (byte-identical across
-  /// --jobs/--shards) plus a host-only shard-health section — and a
-  /// long-form CSV sibling (PATH with .json -> .csv). Empty = off.
+  /// --jobs) — and a long-form CSV sibling (PATH with .json -> .csv).
+  /// Empty = off.
   std::string timeseries_out() const { return get_str("timeseries-out", ""); }
 
   /// `--sample-s SECS`: sampling interval of --timeseries-out. Must be a
@@ -144,35 +144,22 @@ class Flags {
     return v;
   }
 
-  /// `--shards auto|N`: lane count for the engine's intra-run sharded
-  /// driver. "auto" picks per job from the server count and hardware
-  /// threads (ShardConfig::kAuto); N >= 1 forces that many lanes. Output is
-  /// byte-identical for every accepted value. Anything else — 0, negative,
-  /// non-numeric, trailing garbage — is a hard usage error (exit 2): a
-  /// typo'd shard count silently running classic would invalidate an A/B.
-  int shards(int fallback) const {
-    const std::string raw = get_str("shards", "");
+  /// `--lanes auto|N`: object-lane count of a catalog run
+  /// (core::CatalogRunConfig::lanes). "auto" picks from the object count
+  /// and hardware threads (kAutoLanes); N >= 1 forces that many lanes.
+  /// Output is byte-identical for every accepted value. Anything else — 0,
+  /// negative, non-numeric, trailing garbage — is a hard usage error
+  /// (exit 2): a typo'd lane count silently falling back would invalidate
+  /// an A/B.
+  int lanes(int fallback) const {
+    const std::string raw = get_str("lanes", "");
     if (raw.empty()) return fallback;
-    if (raw == "auto") return consistency::EngineConfig::ShardConfig::kAuto;
+    if (raw == "auto") return core::CatalogRunConfig::kAutoLanes;
     long long n = 0;
     if (!parse_number(raw, n) || n < 1) {
-      flag_usage_error("shards", raw, "'auto' or an integer >= 1");
+      flag_usage_error("lanes", raw, "'auto' or an integer >= 1");
     }
     return static_cast<int>(n);
-  }
-
-  /// `--epoch-s SECS`: barrier pitch of the sharded driver. Must be a
-  /// positive number; anything else is a hard usage error (exit 2) — an
-  /// epoch of 0 would spin the driver forever on the same grid point.
-  double epoch_s(double fallback) const {
-    const std::string raw = get_str("epoch-s", "");
-    if (raw.empty()) return fallback;
-    double v = 0;
-    if (!parse_number(raw, v) || !(v > 0) ||
-        !(v < std::numeric_limits<double>::infinity())) {
-      flag_usage_error("epoch-s", raw, "a positive number of seconds");
-    }
-    return v;
   }
 
   double get(const std::string& key, double fallback) const {
@@ -296,48 +283,6 @@ inline std::vector<core::BatchResult> run_batch_reported(
             << " s, speedup " << util::format_double(serial_wall / batch_wall, 2)
             << "x)\n";
   return results;
-}
-
-/// Applies the --shards/--epoch-s selection (Flags::shards()/epoch_s()) to
-/// every batch job whose configuration supports the sharded driver; the
-/// rest stay on classic execution (e.g. churn sweeps, trace-recording
-/// runs). Call AFTER ObsSession::apply() — tracing flips jobs to
-/// unsupported. Returns a human-readable summary ("auto:2-4, 18/18 jobs")
-/// for the run manifest, so an artifact records which lane counts actually
-/// ran. Byte-identity contract: metrics/csv are identical for every
-/// accepted --shards value, so the summary is provenance, not config.
-inline std::string apply_shard_flags(std::vector<core::BatchJob>& jobs,
-                                     int shards, double epoch_s) {
-  constexpr int kAuto = consistency::EngineConfig::ShardConfig::kAuto;
-  std::size_t applied = 0;
-  int resolved_lo = std::numeric_limits<int>::max();
-  int resolved_hi = 0;
-  for (core::BatchJob& job : jobs) {
-    job.engine.shard.epoch_s = epoch_s;
-    const std::size_t servers =
-        job.shared_nodes != nullptr ? job.shared_nodes->server_count() : 0;
-    // Gate on config-level support (explicit counts would trip the engine's
-    // sharding preconditions on an unsupported job; auto would not, but the
-    // summary should still count the job as degraded-to-classic).
-    if (!consistency::shard_supported(job.engine)) {
-      job.engine.shard.shards = 0;
-      continue;
-    }
-    job.engine.shard.shards = shards;
-    const int resolved =
-        consistency::resolved_shard_count(job.engine, servers);
-    resolved_lo = std::min(resolved_lo, resolved);
-    resolved_hi = std::max(resolved_hi, resolved);
-    ++applied;
-  }
-  std::string summary = shards == kAuto ? "auto" : std::to_string(shards);
-  if (shards == kAuto && applied > 0) {
-    summary += ":" + std::to_string(resolved_lo);
-    if (resolved_hi != resolved_lo) summary += "-" + std::to_string(resolved_hi);
-  }
-  summary += ", " + std::to_string(applied) + "/" +
-             std::to_string(jobs.size()) + " jobs";
-  return summary;
 }
 
 /// Prints the check block and returns the process exit code.

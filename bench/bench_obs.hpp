@@ -15,8 +15,7 @@
 //     sibling for flamegraph.pl / speedscope. Batch binaries only;
 //   * timeseries — cdnsim.timeseries.v1 JSON with a deterministic section
 //     (per-run sampled series + propagation-span rollups, byte-identical
-//     across --jobs/--shards) and a host section (shard health samples),
-//     plus a long-form CSV sibling for plotting;
+//     across --jobs), plus a long-form CSV sibling for plotting;
 //   * next to each file, a <file>.manifest.json RunManifest — the one
 //     deliberately non-deterministic artifact (wall clock, host, git
 //     revision, steal counts).
@@ -72,17 +71,17 @@ class ObsSession {
            !timeseries_path_.empty();
   }
 
-  /// Records the apply_shard_flags() summary in every manifest written by
-  /// this session (which --shards selection ran, and what auto resolved to).
-  void set_shards(const std::string& summary) { manifest_.shards = summary; }
+  /// Records the catalog --lanes selection in every manifest written by
+  /// this session.
+  void set_lanes(const std::string& summary) { manifest_.lanes = summary; }
   bool trace_enabled() const { return !trace_path_.empty(); }
   bool profile_enabled() const { return !profile_path_.empty(); }
   bool timeseries_enabled() const { return !timeseries_path_.empty(); }
 
   /// Enables per-engine trace recording (--trace-out), per-job profiling
   /// (--profile-out) and time-resolved sampling (--timeseries-out) on every
-  /// job. Call before running the batch. Time series do not force classic
-  /// execution — apply_shard_flags() composes with them.
+  /// job. Call before running the batch. None of them changes a job's
+  /// result.
   void apply(std::vector<core::BatchJob>& jobs) const {
     for (core::BatchJob& job : jobs) {
       if (trace_enabled()) job.engine.record_trace_events = true;
@@ -296,10 +295,8 @@ class ObsSession {
   }
 
   void write_timeseries(const std::vector<core::BatchResult>& results) const {
-    // Two top-level sections mirror the profile artifact split:
     // "deterministic" derives from sim time + seeded RNG only (tier-1 cmp's
-    // it across --jobs and --shards); "host" carries the per-run shard
-    // health samples (barrier wall time — scheduling-dependent by nature).
+    // it across --jobs), mirroring the profile artifact's section name.
     std::ofstream out(timeseries_path_);
     if (!out) throw Error("cannot write timeseries: " + timeseries_path_);
     out << "{\"schema\":\"cdnsim.timeseries.v1\",\"deterministic\":{\"runs\":[";
@@ -314,16 +311,6 @@ class ObsSession {
       rows += r.sim.timeseries.rows.size();
       out << "{\"label\":\"" << obs::json_escape(r.label) << "\",\"series\":";
       r.sim.timeseries.write_deterministic(out);
-      out << '}';
-    }
-    out << "]},\"host\":{\"runs\":[";
-    first = true;
-    for (const auto& r : results) {
-      if (r.sim.timeseries.names.empty()) continue;
-      if (!first) out << ',';
-      first = false;
-      out << "{\"label\":\"" << obs::json_escape(r.label) << "\",\"shard\":";
-      r.sim.timeseries.write_host(out);
       out << '}';
     }
     out << "]}}\n";

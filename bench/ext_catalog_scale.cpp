@@ -19,7 +19,7 @@
 //    than TTL) survives the generalization at every budget.
 //
 // Determinism: output is byte-identical across --jobs (worker threads) and
-// --shards (object lanes, split by ring position) — tier1.sh cmp's the
+// --lanes (object lanes, split by ring position) — tier1.sh cmp's the
 // --small artifacts across both axes.
 #include <string>
 #include <vector>
@@ -54,11 +54,11 @@ int main(int argc, char** argv) {
   const std::uint64_t seed =
       static_cast<std::uint64_t>(flags.get_int("seed", 42));
 
-  // --shards here selects the catalog's object-lane count (objects sort by
-  // ring position and split into contiguous lanes; "auto" = hardware
-  // threads), --jobs the worker threads driving the lanes. Both are pure
-  // execution knobs: every accepted value produces byte-identical output.
-  const int lanes = flags.shards(core::CatalogRunConfig::kAutoLanes);
+  // --lanes selects the catalog's object-lane count (objects sort by ring
+  // position and split into contiguous lanes; "auto" = hardware threads),
+  // --jobs the worker threads driving the lanes. Both are pure execution
+  // knobs: every accepted value produces byte-identical output.
+  const int lanes = flags.lanes(core::CatalogRunConfig::kAutoLanes);
   const std::size_t threads = flags.jobs();
 
   core::ScenarioConfig sc;
@@ -83,9 +83,9 @@ int main(int argc, char** argv) {
                                           cdn::ReplicaPolicy::kProportional};
 
   bench::ObsSession obs(argc, argv, flags, seed);
-  obs.set_shards(lanes == core::CatalogRunConfig::kAutoLanes
-                     ? "catalog-lanes:auto"
-                     : "catalog-lanes:" + std::to_string(lanes));
+  obs.set_lanes(lanes == core::CatalogRunConfig::kAutoLanes
+                    ? "catalog-lanes:auto"
+                    : "catalog-lanes:" + std::to_string(lanes));
 
   // weighted inconsistency / traffic per [method][policy][budget].
   std::vector<std::vector<std::vector<double>>> incon(

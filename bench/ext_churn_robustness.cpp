@@ -65,12 +65,6 @@ int main(int argc, char** argv) {
   bench::ObsSession obs(argc, argv, flags,
                         static_cast<std::uint64_t>(flags.get_int("seed", 42)));
   obs.apply(jobs);
-  // Sharded driver where supported: the rate-0 baseline jobs run sharded,
-  // churn jobs (> 0 failures/hour) stay classic — apply_shard_flags probes
-  // each job and records the split in the manifest.
-  obs.set_shards(bench::apply_shard_flags(
-      jobs, flags.shards(consistency::EngineConfig::ShardConfig::kAuto),
-      flags.epoch_s(0.25)));
   const core::BatchRunner runner(
       {.threads = flags.jobs(), .heartbeat_period_s = flags.heartbeat()});
   core::BatchRunStats batch_stats;

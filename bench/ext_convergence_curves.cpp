@@ -83,9 +83,6 @@ int main(int argc, char** argv) {
   bench::ObsSession obs(argc, argv, flags,
                         static_cast<std::uint64_t>(flags.get_int("seed", 42)));
   obs.apply(jobs);
-  obs.set_shards(bench::apply_shard_flags(
-      jobs, flags.shards(consistency::EngineConfig::ShardConfig::kAuto),
-      flags.epoch_s(0.25)));
   const core::BatchRunner runner(
       {.threads = flags.jobs(), .heartbeat_period_s = flags.heartbeat()});
   core::BatchRunStats batch_stats;

@@ -26,10 +26,9 @@
 // Push+retry adds per-copy loss with ack-timeout retries and give-ups.
 //
 // Determinism: each cell is one single-threaded sim; --jobs parallelizes
-// whole cells (results land in submission order), and --shards selects the
-// subscriber-lane count used to fold the latency accounting (integer
-// microsecond sums, so the fold is exact and byte-identical for every
-// lane count). tier1.sh cmp's the --small artifacts across both axes.
+// whole cells (results land in submission order), so the artifacts are
+// byte-identical for every worker count — tier1.sh cmp's the --small
+// artifacts across --jobs.
 //
 // Scale note: flow-off copies need no event each — nothing reacts to a
 // fire-and-forget arrival, so their bookkeeping happens inline at publish
@@ -71,18 +70,7 @@ struct CellConfig {
   std::size_t max_retries = 2;
   double catchup_retry_s = 2.0;
   std::size_t log_capacity = pubsub::Topic::kDefaultLogCapacity;
-  std::size_t lanes = 1;
   std::uint64_t seed = 42;
-};
-
-// Per-lane latency fold in integer microseconds: u64 addition is exact and
-// associative, so folding lane partials in lane order yields bytes
-// independent of the lane count — the same contract the engine's sharded
-// lane counters satisfy.
-struct LaneAccum {
-  std::uint64_t sum_us = 0;
-  std::uint64_t count = 0;
-  std::uint64_t max_us = 0;
 };
 
 struct CellResult {
@@ -91,6 +79,7 @@ struct CellResult {
   std::uint64_t acks = 0;
   std::uint64_t retries = 0;
   std::uint64_t give_ups = 0;
+  // Delivery lag in integer microseconds.
   std::uint64_t delivery_sum_us = 0;
   std::uint64_t delivery_count = 0;
   std::uint64_t delivery_max_us = 0;
@@ -114,7 +103,6 @@ class Cell {
         flow_(c.flow_window),
         fanout_(topic_, &flow_, result_.stats),
         rng_(c.seed),
-        lanes_(std::max<std::size_t>(c.lanes, 1)),
         publish_time_(c.updates + 1, 0),
         last_live_arrival_(c.updates + 1, 0),
         received_(c.subscribers, 0) {
@@ -211,22 +199,15 @@ class Cell {
     const double published =
         seq <= c_.updates ? publish_time_[seq] : 0;
     const auto us = static_cast<std::uint64_t>((arrival - published) * 1e6);
-    LaneAccum& lane = lanes_[static_cast<std::size_t>(id) * lanes_.size() /
-                             c_.subscribers];
-    lane.sum_us += us;
-    ++lane.count;
-    lane.max_us = std::max(lane.max_us, us);
+    result_.delivery_sum_us += us;
+    ++result_.delivery_count;
+    result_.delivery_max_us = std::max(result_.delivery_max_us, us);
     if (!catch_up && seq <= c_.updates) {
       last_live_arrival_[seq] = std::max(last_live_arrival_[seq], arrival);
     }
   }
 
   void finish() {
-    for (const LaneAccum& lane : lanes_) {
-      result_.delivery_sum_us += lane.sum_us;
-      result_.delivery_count += lane.count;
-      result_.delivery_max_us = std::max(result_.delivery_max_us, lane.max_us);
-    }
     double span_sum = 0;
     std::size_t span_n = 0;
     for (std::size_t k = 1; k <= c_.updates; ++k) {
@@ -261,7 +242,6 @@ class Cell {
   CellResult result_;
   pubsub::Fanout fanout_;
   util::Rng rng_;
-  std::vector<LaneAccum> lanes_;
   std::vector<double> publish_time_;
   std::vector<double> last_live_arrival_;
   std::vector<SequenceNumber> received_;
@@ -329,13 +309,6 @@ int main(int argc, char** argv) {
   const double light = flags.get("light", 0.25);
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 42));
 
-  // --shards picks the latency-fold lane count (auto = hardware threads);
-  // the fold is integer-exact, so every selection is byte-identical.
-  const int shard_sel = flags.shards(0);
-  const std::size_t lanes = shard_sel > 0
-                                ? static_cast<std::size_t>(shard_sel)
-                                : util::ThreadPool::hardware_threads();
-
   struct SystemRow {
     const char* name;
     double packet_kb;
@@ -360,7 +333,6 @@ int main(int argc, char** argv) {
         c.updates = updates;
         c.gap_s = gap_s;
         c.uplink_kbps = uplink;
-        c.lanes = lanes;
         c.seed = seed;
         c.label = std::string(sys.name) + "/" +
                   (flow_enabled ? "flow-on" : "flow-off") + "/n=" +
@@ -384,8 +356,6 @@ int main(int argc, char** argv) {
   }
 
   bench::ObsSession obs(argc, argv, flags, seed);
-  obs.set_shards(shard_sel > 0 ? "fanout-lanes:" + std::to_string(shard_sel)
-                               : "fanout-lanes:auto");
   for (std::size_t i = 0; i < cells.size(); ++i) {
     obs.add(cells[i].label, to_sim_result(cells[i], results[i]));
   }

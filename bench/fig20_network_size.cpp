@@ -33,14 +33,6 @@ int main(int argc, char** argv) {
   // stays flat while the push-at-once methods queue.
   const double packet_kb = flags.get("packet", 100.0);
   const double uplink_kbps = flags.get("uplink", 12500.0);
-  // --shards auto|N selects the engine's intra-run sharded driver ("auto",
-  // the default, sizes lanes per job from server count x hardware threads);
-  // --epoch-s sets the barrier pitch. Results are byte-identical for every
-  // accepted value and every worker count — tier1.sh cmp-checks the
-  // --small artifacts across the grid.
-  const int shards =
-      flags.shards(consistency::EngineConfig::ShardConfig::kAuto);
-  const double shard_epoch_s = flags.epoch_s(0.25);
 
   const UpdateMethod methods[3] = {UpdateMethod::kPush, UpdateMethod::kInvalidation,
                                    UpdateMethod::kTtl};
@@ -91,8 +83,6 @@ int main(int argc, char** argv) {
 
   bench::ObsSession obs(argc, argv, flags, seed);
   obs.apply(jobs);
-  // After obs.apply: trace-recording jobs must degrade to classic.
-  obs.set_shards(bench::apply_shard_flags(jobs, shards, shard_epoch_s));
 
   const core::BatchRunner runner(
       {.threads = flags.jobs(), .heartbeat_period_s = flags.heartbeat()});
@@ -103,22 +93,13 @@ int main(int argc, char** argv) {
   obs.write(results, batch_stats);
   if (const std::string bench_json = flags.bench_json(); !bench_json.empty()) {
     const double wall_s = grid_timer.seconds();
-    const std::string shards_str =
-        shards == consistency::EngineConfig::ShardConfig::kAuto
-            ? "auto"
-            : std::to_string(shards);
     const std::string config =
         std::string(flags.small() ? "small" : (flags.large() ? "large" : "full")) +
-        "/jobs=" + std::to_string(runner.threads()) +
-        "/shards=" + shards_str;
-    // Sharded --small runs record under their own bench name so the perf
-    // gate (check_bench_regression.py) tracks each shard selection
-    // separately (auto included: it is the default execution mode).
+        "/jobs=" + std::to_string(runner.threads());
+    // --small runs record under their own bench name: the perf gate
+    // (check_bench_regression.py) tracks the smoke separately.
     const std::string bench_name =
-        flags.small() ? (shards == consistency::EngineConfig::ShardConfig::kAuto
-                             ? "fig20_small_shards_auto"
-                             : "fig20_small_shards" + shards_str)
-                      : "fig20_network_size/grid";
+        flags.small() ? "fig20_small" : "fig20_network_size/grid";
     bench::append_bench_record(bench_json, bench_name, config, wall_s,
                                static_cast<double>(jobs.size()) / wall_s);
   }

@@ -16,7 +16,6 @@
 #include "obs/metrics.hpp"
 #include "obs/timeseries.hpp"
 #include "pubsub/pubsub.hpp"
-#include "sim/shard_merge.hpp"
 #include "sim/simulator.hpp"
 #include "trace/update_trace.hpp"
 #include "topology/hilbert.hpp"
@@ -159,59 +158,6 @@ void BM_VisitBatch(benchmark::State& state) {
   state.counters["visits"] = static_cast<double>(visits);
 }
 BENCHMARK(BM_VisitBatch)->Name("visit_batch_100k")->Unit(benchmark::kMillisecond);
-
-// 100k cross-lane messages through the overlapped pipeline's staging
-// protocol: emit into 8 per-lane rows, flip the generations, and consume
-// the 8 sorted per-target columns — the exact per-round sequence the
-// pipelined sharded driver runs between epochs. Bounds the merge-queue cost
-// of pushing cross-lane traffic at thousands-of-servers scale.
-void BM_ShardMergeDrain(benchmark::State& state) {
-  constexpr std::size_t kLanes = 8;
-  constexpr std::size_t kMessages = 100000;
-  // One pre-built population, re-emitted every iteration: the queue is the
-  // thing under test, not the message construction.
-  struct Proto {
-    double arrival;
-    std::int32_t sender;
-    std::uint64_t seq;
-    std::uint32_t target;
-  };
-  std::vector<Proto> protos;
-  protos.reserve(kMessages);
-  {
-    util::Rng rng(0x5A4D);
-    std::vector<std::uint64_t> next_seq(64, 0);
-    for (std::size_t i = 0; i < kMessages; ++i) {
-      const auto sender = static_cast<std::int32_t>(rng.index(64));
-      protos.push_back({static_cast<double>(rng.index(32)) * 0.25, sender,
-                        next_seq[static_cast<std::size_t>(sender)]++,
-                        static_cast<std::uint32_t>(rng.index(kLanes))});
-    }
-  }
-  std::size_t consumed = 0;
-  for (auto _ : state) {
-    sim::ShardMergeQueue queue(kLanes);
-    for (std::size_t i = 0; i < kMessages; ++i) {
-      sim::ShardMergeQueue::Message m;
-      m.arrival = protos[i].arrival;
-      m.sender = protos[i].sender;
-      m.seq = protos[i].seq;
-      m.target_lane = protos[i].target;
-      queue.emit(i % kLanes, std::move(m));
-    }
-    queue.flip();
-    consumed = 0;
-    for (std::size_t t = 0; t < kLanes; ++t) {
-      consumed += queue.take_incoming(t).size();
-    }
-    benchmark::DoNotOptimize(consumed);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(consumed));
-}
-BENCHMARK(BM_ShardMergeDrain)
-    ->Name("shard_merge_drain_100k")
-    ->Unit(benchmark::kMillisecond);
 
 // 100k replica-set lookups on the placement ring (170 servers x 64 vnodes,
 // the paper-scale CDN): the per-object cost the catalog layer pays before

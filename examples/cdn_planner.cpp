@@ -45,75 +45,21 @@ int main(int argc, char** argv) {
   using namespace cdnsim;
 
   constexpr const char* kUsage =
-      "usage: cdn_planner [--jobs N] [--shards auto|N] [--epoch-s SECS]\n"
-      "  --jobs N      worker threads (N >= 0; 0 = all cores)\n"
-      "  --shards S    sharded engine driver: 'auto' (default) or lanes >= 1\n"
-      "  --epoch-s S   shard barrier pitch in seconds (> 0)\n";
+      "usage: cdn_planner [--jobs N]\n"
+      "  --jobs N      worker threads (N >= 0; 0 = all cores)\n";
   std::size_t jobs = 0;  // 0 = hardware concurrency
-  int shards = consistency::EngineConfig::ShardConfig::kAuto;
-  double shard_epoch_s = 0.25;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg == "--jobs") {
-      // std::stoul accepts a leading '-' by wrapping, so reject it explicitly.
-      if (i + 1 >= argc || argv[i + 1][0] == '-') {
-        std::cerr << kUsage;
-        return 2;
-      }
-      try {
-        jobs = std::stoul(argv[++i]);
-      } catch (const std::exception&) {
-        std::cerr << kUsage;
-        return 2;
-      }
-    } else if (arg == "--shards") {
-      if (i + 1 >= argc) {
-        std::cerr << kUsage;
-        return 2;
-      }
-      const std::string value = argv[++i];
-      if (value == "auto") {
-        shards = consistency::EngineConfig::ShardConfig::kAuto;
-        continue;
-      }
-      std::size_t pos = 0;
-      long long n = 0;
-      bool parsed = true;
-      try {
-        n = std::stoll(value, &pos);
-      } catch (const std::exception&) {
-        parsed = false;
-      }
-      if (!parsed || pos != value.size() || n < 1) {
-        std::cerr << "cdn_planner: --shards expects 'auto' or an integer >= 1,"
-                     " got '"
-                  << value << "'\n"
-                  << kUsage;
-        return 2;
-      }
-      shards = static_cast<int>(n);
-    } else if (arg == "--epoch-s") {
-      if (i + 1 >= argc) {
-        std::cerr << kUsage;
-        return 2;
-      }
-      const std::string value = argv[++i];
-      std::size_t pos = 0;
-      double v = 0;
-      bool parsed = true;
-      try {
-        v = std::stod(value, &pos);
-      } catch (const std::exception&) {
-        parsed = false;
-      }
-      if (!parsed || pos != value.size() || !(v > 0)) {
-        std::cerr << "cdn_planner: --epoch-s expects a positive number of "
-                     "seconds, got '"
-                  << value << "'\n"
-                  << kUsage;
-        return 2;
-      }
-      shard_epoch_s = v;
+    // std::stoul accepts a leading '-' by wrapping, so reject it explicitly.
+    if (arg != "--jobs" || i + 1 >= argc || argv[i + 1][0] == '-') {
+      std::cerr << kUsage;
+      return 2;
+    }
+    try {
+      jobs = std::stoul(argv[++i]);
+    } catch (const std::exception&) {
+      std::cerr << kUsage;
+      return 2;
     }
   }
 
@@ -181,11 +127,6 @@ int main(int argc, char** argv) {
         std::max(2.0, content.profile.tolerable_staleness_s);
     job.engine.user_poll_period_s =
         60.0 / std::max(0.5, content.profile.visits_per_server_per_minute);
-    // Sharded-by-default: auto degrades to classic execution per job when
-    // the configuration does not support lanes. Output is identical either
-    // way, so the planner's recommendations never depend on the driver.
-    job.engine.shard.shards = shards;
-    job.engine.shard.epoch_s = shard_epoch_s;
     job.label = content.name;
     batch.push_back(std::move(job));
   }

@@ -30,8 +30,7 @@ Checks (stdlib only, no third-party deps):
     also given, to the matching final registry counter/gauge for the same
     label), gauge columns whose final row equals their total, span rollups
     with reached_all <= applied_versions <= published covering every
-    published version, host run labels mirroring the deterministic ones,
-    and a long-form CSV sibling;
+    published version, and a long-form CSV sibling;
   * every artifact has a sibling <file>.manifest.json naming the binary,
     a config_digest and a seed.
 
@@ -128,9 +127,9 @@ def check_metrics(path, require_metrics=()):
         counters = metrics.get("counters", {})
         gauges = metrics.get("gauges", {})
         # Pub/sub flow-control invariant: the lagging gauge is defined as
-        # lagging_enter - lagging_exit (monotone counters folded exactly
-        # across lanes), so whenever all three appear they must agree and
-        # the live set can never be negative.
+        # lagging_enter - lagging_exit (both monotone counters), so whenever
+        # all three appear they must agree and the live set can never be
+        # negative.
         if ("pubsub.lagging_enter" in counters and
                 "pubsub.lagging_exit" in counters and
                 "pubsub.lagging_subscribers" in gauges):
@@ -292,10 +291,8 @@ def check_timeseries(path, metrics_path=None):
                 values = dict(rec.get("metrics", {}).get("counters", {}))
                 values.update(rec.get("metrics", {}).get("gauges", {}))
                 registry_by_label[rec.get("label")] = values
-    labels = []
     for run in runs:
         label = run.get("label", "?")
-        labels.append(label)
         s = run.get("series", {})
         sample_s = s.get("sample_s", 0)
         if not check(isinstance(sample_s, (int, float)) and sample_s > 0,
@@ -385,10 +382,6 @@ def check_timeseries(path, metrics_path=None):
                       f"{path}: run '{label}': total '{name}' = "
                       f"{totals.get(name)} but the final registry says "
                       f"{registry[name]}")
-    host_runs = doc.get("host", {}).get("runs")
-    check(isinstance(host_runs, list) and
-          [r.get("label") for r in host_runs] == labels,
-          f"{path}: host runs must mirror the deterministic run labels")
     csv_sibling = timeseries_csv_path_for(path)
     if check(os.path.exists(csv_sibling),
              f"missing timeseries csv sibling {csv_sibling}"):

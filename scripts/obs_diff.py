@@ -16,8 +16,6 @@ Accepts any artifact family (auto-detected from the file contents):
     ignored unless --include-wall is given;
   * timeseries JSON — {"schema": "cdnsim.timeseries.v1", ...}. Compared per
     run label: every sampled cell, every total and every span-rollup field.
-    The host section (shard health samples, barrier wall time) is ignored
-    unless --include-wall is given.
 
 A *value* difference is a shared key whose numbers differ beyond --rel-tol.
 A *schema* difference is a key (label, metric name, scope path, histogram
@@ -71,22 +69,6 @@ def load(path, include_wall=False):
             for row in s.get("spans", {}).get("rows", []):
                 for name, v in zip(span_cols, row[1:]):
                     flat[f"{label} span t={row[0]:g} {name}"] = v
-        if include_wall:
-            for run in doc.get("host", {}).get("runs", []):
-                label = run.get("label", "?")
-                shard = run.get("shard", {})
-                if not shard:
-                    continue
-                flat[f"{label} host shards"] = shard.get("shards", 0)
-                flat[f"{label} host lane_imbalance"] = shard.get(
-                    "lane_imbalance", 0)
-                for sample in shard.get("samples", []):
-                    base = f"{label} host t={sample.get('t', 0):g}"
-                    flat[f"{base} staged_rows"] = sample.get("staged_rows", 0)
-                    flat[f"{base} barrier_wait_ns"] = sample.get(
-                        "barrier_wait_ns", 0)
-                    for lane, ev in enumerate(sample.get("lane_events", [])):
-                        flat[f"{base} lane{lane}_events"] = ev
         return "timeseries", flat
     # Metrics JSONL: one record per line.
     flat = {}
@@ -144,8 +126,8 @@ def main():
                         help="exit 3 when the two files disagree on which "
                              "keys exist")
     parser.add_argument("--include-wall", action="store_true",
-                        help="also compare the host-only wall/shard "
-                             "sections (scheduling noise; off by default)")
+                        help="also compare the profile's host-only wall "
+                             "section (scheduling noise; off by default)")
     args = parser.parse_args()
 
     kind_a, flat_a = load(args.a, args.include_wall)

@@ -7,12 +7,16 @@
 # under optimization), then the observability smoke: fig20 run at --jobs 1
 # and --jobs 8 with every --*-out flag, the deterministic artifacts (metrics,
 # trace, csv, timeseries, and the profile's deterministic section) cmp'd
-# byte-for-byte — timeseries across the full --shards 1/2/8/auto x --jobs
-# 1/8 grid — validated with scripts/check_obs.py (including the timeseries
-# interval-sum vs final-counter reconciliation), the time-resolved
-# convergence bench smoked at both job counts, and a second seed diffed
-# with scripts/obs_diff.py (same schema, different values). Run from the
-# repository root.
+# byte-for-byte, a plain run (metrics + csv only) cmp'd against the
+# observed one (observing a run must not change it), everything validated
+# with scripts/check_obs.py (including the timeseries interval-sum vs
+# final-counter reconciliation), the time-resolved convergence bench
+# smoked at both job counts, and a second seed diffed with
+# scripts/obs_diff.py (same schema, different values). Shape checks are
+# binding where the exact driver passes them at --small scale: every
+# --small smoke fails its stage on exit 1, except the second-seed fig20
+# run, which exists only for the obs_diff check. Run from the repository
+# root.
 #
 #   scripts/tier1.sh            # all stages
 #   scripts/tier1.sh --no-tsan  # skip the TSan stage
@@ -51,7 +55,7 @@ if [[ "${run_tsan}" == "1" ]]; then
   cmake -B build-tsan -S . -DCDNSIM_SANITIZE=thread >/dev/null
   cmake --build build-tsan -j --target cdnsim_tests
   ./build-tsan/tests/cdnsim_tests \
-    --gtest_filter='ThreadPool*:BatchRunner*:RngTest.Substream*:CdfTest.ConcurrentReadsOnSharedConstCdf:FaultInjectionProperty*:ShardMerge*:*ShardPipeline*:VisitBatch*:Catalog*:Ring*:Pubsub*:Fanout*'
+    --gtest_filter='ThreadPool*:BatchRunner*:RngTest.Substream*:CdfTest.ConcurrentReadsOnSharedConstCdf:FaultInjectionProperty*:VisitBatch*:Catalog*:Ring*:Pubsub*:Fanout*'
 fi
 
 if [[ "${run_perf}" == "1" ]]; then
@@ -63,18 +67,15 @@ if [[ "${run_perf}" == "1" ]]; then
   # value must be a plain double (no "s"/"x").
   ./build-release/bench/micro_core --benchmark_min_time=0.05 \
     --bench-json "${tmp_dir}/bench_fresh.jsonl" --bench-config tier1
-  # fig20 --small on the sharded driver records fig20_small_shards<N>;
-  # "auto" (the default selection mode) records fig20_small_shards_auto
-  # (shape checks may fail at --small scale, exit 1; only >= 2 is a crash).
-  for sh in 1 8 auto; do
-    rc=0
-    ./build-release/bench/fig20_network_size --small --jobs 8 --shards "${sh}" \
-      --bench-json "${tmp_dir}/bench_fresh.jsonl" >/dev/null || rc=$?
-    if [[ "${rc}" -ge 2 ]]; then
-      echo "fig20_network_size --shards ${sh} failed (exit ${rc})" >&2
-      exit 1
-    fi
-  done
+  # fig20 --small records fig20_small. Its shape checks pass at --small
+  # scale, so a failed check (exit 1) fails the stage like a crash.
+  rc=0
+  ./build-release/bench/fig20_network_size --small --jobs 8 \
+    --bench-json "${tmp_dir}/bench_fresh.jsonl" >/dev/null || rc=$?
+  if [[ "${rc}" -ne 0 ]]; then
+    echo "fig20_network_size --small failed (exit ${rc})" >&2
+    exit 1
+  fi
   # 2.0x, not the script's 1.5x default: the committed baseline was recorded
   # in an earlier session and this host swings ~±30% run to run (measured by
   # interleaving identical binaries), so 1.5x flakes on wall-heavy benches.
@@ -89,72 +90,53 @@ if [[ "${run_obs}" == "1" ]]; then
   cmake --build build -j --target fig20_network_size
   obs_dir="${tmp_dir}/obs"
   mkdir -p "${obs_dir}"
-  # The binary's shape checks may legitimately fail at --small scale (exit
-  # 1); only a crash or batch failure (exit >= 2) fails the stage.
+  # The shape checks pass at --small scale, so a failed check (exit 1)
+  # fails the stage like a crash or batch failure (exit >= 2).
   for jobs in 1 8; do
     rc=0
     ./build/bench/fig20_network_size --small --jobs "${jobs}" \
       --metrics-out "${obs_dir}/m${jobs}.jsonl" \
       --trace-out "${obs_dir}/t${jobs}.json" \
       --csv-out "${obs_dir}/c${jobs}.csv" \
-      --profile-out "${obs_dir}/p${jobs}.profile.json" >/dev/null || rc=$?
-    if [[ "${rc}" -ge 2 ]]; then
+      --profile-out "${obs_dir}/p${jobs}.profile.json" \
+      --timeseries-out "${obs_dir}/ts${jobs}.json" >/dev/null || rc=$?
+    if [[ "${rc}" -ne 0 ]]; then
       echo "fig20_network_size --jobs ${jobs} failed (exit ${rc})" >&2
       exit 1
     fi
-    # The wall section is host noise by design; the deterministic section
-    # (scope counts + sim-time coverage) must not depend on scheduling.
-    python3 -c 'import json, sys
+    # The wall section is host noise by design; the deterministic sections
+    # (profile scope counts + sim-time coverage, timeseries samples/spans)
+    # must not depend on scheduling.
+    for art in "p${jobs}.profile" "ts${jobs}"; do
+      python3 -c 'import json, sys
 print(json.dumps(json.load(open(sys.argv[1]))["deterministic"]))' \
-      "${obs_dir}/p${jobs}.profile.json" > "${obs_dir}/det${jobs}.json"
+        "${obs_dir}/${art}.json" > "${obs_dir}/det_${art}.json"
+    done
   done
   cmp "${obs_dir}/m1.jsonl" "${obs_dir}/m8.jsonl"
   cmp "${obs_dir}/t1.json" "${obs_dir}/t8.json"
   cmp "${obs_dir}/c1.csv" "${obs_dir}/c8.csv"
-  cmp "${obs_dir}/det1.json" "${obs_dir}/det8.json"
-  echo "metrics/trace/csv/profile-deterministic byte-identical for --jobs 1 vs 8"
+  cmp "${obs_dir}/det_p1.profile.json" "${obs_dir}/det_p8.profile.json"
+  cmp "${obs_dir}/det_ts1.json" "${obs_dir}/det_ts8.json"
+  cmp "${obs_dir}/ts1.csv" "${obs_dir}/ts8.csv"
+  echo "metrics/trace/csv/profile/timeseries byte-identical for --jobs 1 vs 8"
 
-  # Sharded-driver invariance: the lane decomposition (explicit counts and
-  # the auto selection, which resolves per job from server count x hardware
-  # threads) and the worker count are pure implementation detail — metrics
-  # and csv must be byte-identical for every (--shards, --jobs) combination,
-  # "auto" included. (Manifests embed argv and the resolved lane counts, so
-  # they are excluded by construction.)
-  shard_dir="${tmp_dir}/obs-shards"
-  mkdir -p "${shard_dir}"
-  for sh in 1 2 8 auto; do
-    for jobs in 1 8; do
-      rc=0
-      ./build/bench/fig20_network_size --small --jobs "${jobs}" \
-        --shards "${sh}" \
-        --metrics-out "${shard_dir}/m_s${sh}_j${jobs}.jsonl" \
-        --csv-out "${shard_dir}/c_s${sh}_j${jobs}.csv" \
-        --timeseries-out "${shard_dir}/ts_s${sh}_j${jobs}.json" \
-        >/dev/null || rc=$?
-      if [[ "${rc}" -ge 2 ]]; then
-        echo "fig20_network_size --shards ${sh} --jobs ${jobs} failed" \
-             "(exit ${rc})" >&2
-        exit 1
-      fi
-      # The timeseries artifact splits like the profile: its host section
-      # (shard health samples, barrier wall time) is scheduling noise, the
-      # deterministic section (sampled series, totals, spans) must not
-      # depend on the lane decomposition or the worker count.
-      python3 -c 'import json, sys
-print(json.dumps(json.load(open(sys.argv[1]))["deterministic"]))' \
-        "${shard_dir}/ts_s${sh}_j${jobs}.json" \
-        > "${shard_dir}/tsdet_s${sh}_j${jobs}.json"
-      cmp "${shard_dir}/m_s1_j1.jsonl" "${shard_dir}/m_s${sh}_j${jobs}.jsonl"
-      cmp "${shard_dir}/c_s1_j1.csv" "${shard_dir}/c_s${sh}_j${jobs}.csv"
-      cmp "${shard_dir}/tsdet_s1_j1.json" \
-          "${shard_dir}/tsdet_s${sh}_j${jobs}.json"
-      cmp "${shard_dir}/ts_s1_j1.csv" "${shard_dir}/ts_s${sh}_j${jobs}.csv"
-    done
-  done
-  echo "sharded metrics/csv/timeseries byte-identical across --shards 1/2/8/auto x --jobs 1/8"
-  python3 scripts/check_obs.py \
-    --metrics "${shard_dir}/m_s1_j1.jsonl" \
-    --timeseries "${shard_dir}/ts_s1_j1.json"
+  # Observing a run must not change its result: a plain run with only
+  # --metrics-out/--csv-out must match the run that also recorded trace
+  # events, the profile and the time series, byte for byte.
+  rc=0
+  ./build/bench/fig20_network_size --small --jobs 8 \
+    --metrics-out "${obs_dir}/m_plain.jsonl" \
+    --csv-out "${obs_dir}/c_plain.csv" >/dev/null || rc=$?
+  if [[ "${rc}" -ne 0 ]]; then
+    echo "fig20_network_size plain run failed (exit ${rc})" >&2
+    exit 1
+  fi
+  cmp "${obs_dir}/m_plain.jsonl" "${obs_dir}/m8.jsonl"
+  cmp "${obs_dir}/c_plain.csv" "${obs_dir}/c8.csv"
+  echo "plain run metrics/csv byte-identical to the observed run"
+  python3 scripts/check_obs.py --metrics "${obs_dir}/m1.jsonl" \
+    --timeseries "${obs_dir}/ts1.json"
 
   # Time-resolved convergence curves: the sampler demo bench must survive
   # both job counts with byte-identical deterministic timeseries, and its
@@ -167,7 +149,7 @@ print(json.dumps(json.load(open(sys.argv[1]))["deterministic"]))' \
     ./build/bench/ext_convergence_curves --small --jobs "${jobs}" \
       --metrics-out "${conv_dir}/m${jobs}.jsonl" \
       --timeseries-out "${conv_dir}/ts${jobs}.json" >/dev/null || rc=$?
-    if [[ "${rc}" -ge 2 ]]; then
+    if [[ "${rc}" -ne 0 ]]; then
       echo "ext_convergence_curves --jobs ${jobs} failed (exit ${rc})" >&2
       exit 1
     fi
@@ -181,83 +163,73 @@ print(json.dumps(json.load(open(sys.argv[1]))["deterministic"]))' \
     --timeseries "${conv_dir}/ts1.json"
   echo "convergence-curve timeseries byte-identical for --jobs 1 vs 8"
 
-  # Same contract on a second, newly auto-wired bench: ext_churn's rate-0
-  # baseline jobs run sharded while churn jobs degrade to classic, and the
-  # artifacts must not care which — --shards auto vs 1 across --jobs 1/8.
+  # Same contract on the churn bench: churn runs on the one exact driver,
+  # so its artifacts must not depend on the worker count.
   cmake --build build -j --target ext_churn_robustness
   churn_dir="${tmp_dir}/obs-churn"
   mkdir -p "${churn_dir}"
-  for sh in 1 auto; do
-    for jobs in 1 8; do
-      rc=0
-      ./build/bench/ext_churn_robustness --small --jobs "${jobs}" \
-        --shards "${sh}" \
-        --metrics-out "${churn_dir}/m_s${sh}_j${jobs}.jsonl" \
-        --csv-out "${churn_dir}/c_s${sh}_j${jobs}.csv" >/dev/null || rc=$?
-      if [[ "${rc}" -ge 2 ]]; then
-        echo "ext_churn_robustness --shards ${sh} --jobs ${jobs} failed" \
-             "(exit ${rc})" >&2
-        exit 1
-      fi
-      cmp "${churn_dir}/m_s1_j1.jsonl" "${churn_dir}/m_s${sh}_j${jobs}.jsonl"
-      cmp "${churn_dir}/c_s1_j1.csv" "${churn_dir}/c_s${sh}_j${jobs}.csv"
-    done
+  for jobs in 1 8; do
+    rc=0
+    ./build/bench/ext_churn_robustness --small --jobs "${jobs}" \
+      --metrics-out "${churn_dir}/m${jobs}.jsonl" \
+      --csv-out "${churn_dir}/c${jobs}.csv" >/dev/null || rc=$?
+    if [[ "${rc}" -ne 0 ]]; then
+      echo "ext_churn_robustness --jobs ${jobs} failed (exit ${rc})" >&2
+      exit 1
+    fi
   done
-  echo "ext_churn metrics/csv byte-identical across --shards 1/auto x --jobs 1/8"
+  cmp "${churn_dir}/m1.jsonl" "${churn_dir}/m8.jsonl"
+  cmp "${churn_dir}/c1.csv" "${churn_dir}/c8.csv"
+  echo "ext_churn metrics/csv byte-identical for --jobs 1 vs 8"
 
-  # Catalog runs: --shards selects the object-lane count (objects split by
+  # Catalog runs: --lanes selects the object-lane count (objects split by
   # ring position) and --jobs the worker threads; both are pure execution
   # knobs, so the per-object metrics/csv must be byte-identical across the
   # whole grid, "auto" included.
   cmake --build build -j --target ext_catalog_scale
   cat_dir="${tmp_dir}/obs-catalog"
   mkdir -p "${cat_dir}"
-  for sh in 1 auto; do
+  for lanes in 1 auto; do
     for jobs in 1 8; do
       rc=0
       ./build/bench/ext_catalog_scale --small --jobs "${jobs}" \
-        --shards "${sh}" \
-        --metrics-out "${cat_dir}/m_s${sh}_j${jobs}.jsonl" \
-        --csv-out "${cat_dir}/c_s${sh}_j${jobs}.csv" >/dev/null || rc=$?
-      if [[ "${rc}" -ge 2 ]]; then
-        echo "ext_catalog_scale --shards ${sh} --jobs ${jobs} failed" \
+        --lanes "${lanes}" \
+        --metrics-out "${cat_dir}/m_l${lanes}_j${jobs}.jsonl" \
+        --csv-out "${cat_dir}/c_l${lanes}_j${jobs}.csv" >/dev/null || rc=$?
+      if [[ "${rc}" -ne 0 ]]; then
+        echo "ext_catalog_scale --lanes ${lanes} --jobs ${jobs} failed" \
              "(exit ${rc})" >&2
         exit 1
       fi
-      cmp "${cat_dir}/m_s1_j1.jsonl" "${cat_dir}/m_s${sh}_j${jobs}.jsonl"
-      cmp "${cat_dir}/c_s1_j1.csv" "${cat_dir}/c_s${sh}_j${jobs}.csv"
+      cmp "${cat_dir}/m_l1_j1.jsonl" "${cat_dir}/m_l${lanes}_j${jobs}.jsonl"
+      cmp "${cat_dir}/c_l1_j1.csv" "${cat_dir}/c_l${lanes}_j${jobs}.csv"
     done
   done
-  echo "catalog metrics/csv byte-identical across --shards 1/auto x --jobs 1/8"
+  echo "catalog metrics/csv byte-identical across --lanes 1/auto x --jobs 1/8"
 
-  # Pub/sub fan-out kernel sweep: --jobs parallelizes whole cells and
-  # --shards selects the latency-fold lane count (integer-exact), so the
-  # metrics/csv must be byte-identical across the grid; check_obs then
+  # Pub/sub fan-out kernel sweep: --jobs parallelizes whole cells, so the
+  # metrics/csv must be byte-identical across job counts; check_obs then
   # asserts the flow-control path actually fired (suppressions converted
   # into log catch-up reads) — a silently disabled window passes cmp but
   # not this.
   cmake --build build -j --target ext_fanout_scale
   fan_dir="${tmp_dir}/obs-fanout"
   mkdir -p "${fan_dir}"
-  for sh in 1 auto; do
-    for jobs in 1 8; do
-      rc=0
-      ./build/bench/ext_fanout_scale --small --jobs "${jobs}" \
-        --shards "${sh}" \
-        --metrics-out "${fan_dir}/m_s${sh}_j${jobs}.jsonl" \
-        --csv-out "${fan_dir}/c_s${sh}_j${jobs}.csv" >/dev/null || rc=$?
-      if [[ "${rc}" -ge 2 ]]; then
-        echo "ext_fanout_scale --shards ${sh} --jobs ${jobs} failed" \
-             "(exit ${rc})" >&2
-        exit 1
-      fi
-      cmp "${fan_dir}/m_s1_j1.jsonl" "${fan_dir}/m_s${sh}_j${jobs}.jsonl"
-      cmp "${fan_dir}/c_s1_j1.csv" "${fan_dir}/c_s${sh}_j${jobs}.csv"
-    done
+  for jobs in 1 8; do
+    rc=0
+    ./build/bench/ext_fanout_scale --small --jobs "${jobs}" \
+      --metrics-out "${fan_dir}/m${jobs}.jsonl" \
+      --csv-out "${fan_dir}/c${jobs}.csv" >/dev/null || rc=$?
+    if [[ "${rc}" -ne 0 ]]; then
+      echo "ext_fanout_scale --jobs ${jobs} failed (exit ${rc})" >&2
+      exit 1
+    fi
   done
-  echo "fanout metrics/csv byte-identical across --shards 1/auto x --jobs 1/8"
-  python3 scripts/check_obs.py --metrics "${fan_dir}/m_s1_j1.jsonl" \
-    --csv "${fan_dir}/c_s1_j1.csv" \
+  cmp "${fan_dir}/m1.jsonl" "${fan_dir}/m8.jsonl"
+  cmp "${fan_dir}/c1.csv" "${fan_dir}/c8.csv"
+  echo "fanout metrics/csv byte-identical for --jobs 1 vs 8"
+  python3 scripts/check_obs.py --metrics "${fan_dir}/m1.jsonl" \
+    --csv "${fan_dir}/c1.csv" \
     --require-metric 'pubsub.suppressed_deliveries>0' \
     --require-metric 'pubsub.catch_up_reads>0' \
     --require-metric 'fanout.messages>0'
@@ -270,6 +242,9 @@ print(json.dumps(json.load(open(sys.argv[1]))["deterministic"]))' \
   # *schema* (labels, names, histogram bucket layouts): exit 1 from
   # --fail-on-diff --fail-on-schema-change means value deltas and nothing
   # else (a schema change would exit 3, identical files would exit 0).
+  # Seed 8 fails the scale-dependent check "(a) Invalidation degrades
+  # faster than TTL" at --small (it passes at paper sizes), so only a crash
+  # or batch failure (exit >= 2) fails this run.
   rc=0
   ./build/bench/fig20_network_size --small --jobs 8 --seed 8 \
     --metrics-out "${obs_dir}/m_seed8.jsonl" >/dev/null || rc=$?
@@ -296,15 +271,14 @@ if [[ "${run_fault}" == "1" ]]; then
   cmake --build build -j --target ext_fault_tolerance
   fault_dir="${tmp_dir}/fault"
   mkdir -p "${fault_dir}"
-  # Shape checks are calibrated and expected to pass even at --small scale;
-  # only a crash or batch failure (exit >= 2) fails the stage, matching the
-  # obs stage's contract.
+  # Shape checks are calibrated to pass even at --small scale, so a failed
+  # check (exit 1) fails the stage like a crash or batch failure.
   for jobs in 1 8; do
     rc=0
     ./build/bench/ext_fault_tolerance --small --jobs "${jobs}" \
       --metrics-out "${fault_dir}/m${jobs}.jsonl" \
       --csv-out "${fault_dir}/c${jobs}.csv" >/dev/null || rc=$?
-    if [[ "${rc}" -ge 2 ]]; then
+    if [[ "${rc}" -ne 0 ]]; then
       echo "ext_fault_tolerance --jobs ${jobs} failed (exit ${rc})" >&2
       exit 1
     fi

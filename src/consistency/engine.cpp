@@ -1,19 +1,15 @@
 #include "consistency/engine.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
-#include <exception>
 #include <limits>
 #include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "sim/shard_merge.hpp"
 #include "trace/visit_schedule.hpp"
 #include "util/error.hpp"
-#include "util/thread_pool.hpp"
 
 namespace cdnsim::consistency {
 
@@ -40,13 +36,6 @@ constexpr sim::EventTag kTagDeliveryBase = 11;
 constexpr std::size_t kEngineTagCount =
     kTagDeliveryBase + net::kMessageKindCount;
 
-// Per-node run-phase substream bases for the sharded engine. Offsetting by
-// (node id + 1) gives every node — provider included — its own stateless
-// stream, so the draw sequence is a function of the node, never of which
-// lane or worker executed it.
-constexpr std::uint64_t kShardNodeRngStream = 0x9a0d0000ull;
-constexpr std::uint64_t kShardNodeFaultStream = 0x7a110000ull;
-
 sim::EventTag delivery_tag(net::MessageKind kind) {
   return static_cast<sim::EventTag>(kTagDeliveryBase +
                                     static_cast<std::size_t>(kind));
@@ -71,48 +60,7 @@ const std::vector<double>& inconsistency_bounds() {
   return bounds;
 }
 
-// Auto shard sizing: every lane pays a fixed per-round cost (barrier scan,
-// merge-generation flip, worker wakeup), so scenarios below this many
-// servers per lane run fastest with fewer lanes. Measured on fig20 --small
-// (Release): below ~24 servers per lane the per-round overhead eats the
-// parallel speedup.
-constexpr std::size_t kAutoMinServersPerLane = 24;
-
 }  // namespace
-
-bool shard_supported(const EngineConfig& config) {
-  const bool batched = config.visit_batching &&
-                       config.user_attachment == UserAttachment::kPinnedLocal &&
-                       !config.record_poll_log;
-  return batched && !config.record_trace_events &&
-         config.churn.failures_per_hour <= 0 && config.profiler == nullptr;
-}
-
-int resolved_shard_count(const EngineConfig& config, std::size_t server_count,
-                         std::size_t hardware_threads) {
-  if (config.shard.shards == 0) return 0;
-  const std::size_t clamp_hi = std::max<std::size_t>(server_count, 1);
-  if (config.shard.shards > 0) {
-    return static_cast<int>(std::min<std::size_t>(
-        static_cast<std::size_t>(config.shard.shards), clamp_hi));
-  }
-  CDNSIM_EXPECTS(config.shard.shards == EngineConfig::ShardConfig::kAuto,
-                 "shard.shards must be kAuto (-1), 0 (off), or positive");
-  if (!shard_supported(config)) return 0;
-  if (hardware_threads == 0) {
-    hardware_threads = util::ThreadPool::hardware_threads();
-  }
-  const std::size_t by_size =
-      std::max<std::size_t>(1, server_count / kAutoMinServersPerLane);
-  const std::size_t lanes = std::min(
-      clamp_hi, std::min(std::max<std::size_t>(hardware_threads, 1), by_size));
-  // Never zero for a supported config: auto must stay on the sharded driver
-  // so its output is byte-identical to every explicit --shards N (classic
-  // execution has different message timing — no epoch grid). A single
-  // resolved lane skips the epoch loop entirely (see run_sharded), so it
-  // costs the same as classic-with-lanes.
-  return static_cast<int>(lanes);
-}
 
 // ---------------------------------------------------------------------------
 // Internal state types
@@ -190,13 +138,13 @@ struct UpdateEngine::ServerState {
   };
   std::vector<VisitLogRun> visit_log_runs;
 
-  // Per-server inconsistency-window histogram; fold_lane_stats() merges
-  // these in ascending server order, so the floating-point sum is a pure
-  // function of per-server contents in every execution mode.
+  // Per-server inconsistency-window histogram; fold_stats() merges these in
+  // ascending server order, so the floating-point sum is a pure function of
+  // per-server contents.
   obs::Histogram inconsistency;
 
   // Parent-side subscription state for this node's notice-receiving
-  // children (single-writer: only this node's lane touches it).
+  // children.
   SubscriptionState subs;
 
   ServerState(Version final_version, double uplink_kbps)
@@ -264,35 +212,12 @@ UpdateEngine::UpdateEngine(sim::Simulator& simulator,
   CDNSIM_EXPECTS(absences_.empty() || absences_.size() == nodes.server_count(),
                  "absence schedules must be empty or one per server");
 
-  // Resolve the execution mode before anything observes it (bind_profiler
-  // keeps event scopes off worker threads for sharded engines).
   visit_batching_ = config_.visit_batching &&
                     config_.user_attachment == UserAttachment::kPinnedLocal &&
                     !config_.record_poll_log;
-  int resolved_shards = resolved_shard_count(config_, nodes.server_count());
-  // A shared provider uplink is a constructor argument, invisible to the
-  // config-level auto resolution: degrade auto to classic here (an explicit
-  // shard count still trips the precondition below).
-  if (config_.shard.shards == EngineConfig::ShardConfig::kAuto &&
-      shared_provider_uplink_ != nullptr) {
-    resolved_shards = 0;
-  }
-  sharded_ = resolved_shards > 0;
   if (visit_batching_) {
     CDNSIM_EXPECTS(config_.visit_batch_epoch_s > 0,
                    "visit batch epoch must be positive");
-  }
-  if (sharded_) {
-    CDNSIM_EXPECTS(config_.shard.epoch_s > 0, "shard epoch must be positive");
-    CDNSIM_EXPECTS(visit_batching_,
-                   "sharding requires batched visits (pinned attachment, "
-                   "no poll log, visit_batching on)");
-    CDNSIM_EXPECTS(!config_.record_trace_events,
-                   "sharding does not support trace-event recording");
-    CDNSIM_EXPECTS(config_.churn.failures_per_hour <= 0,
-                   "sharding does not support churn");
-    CDNSIM_EXPECTS(shared_provider_uplink_ == nullptr,
-                   "sharding does not support a shared provider uplink");
   }
 
   // Shift the trace so update v happens at update_time(v) + offset; all
@@ -326,9 +251,7 @@ UpdateEngine::UpdateEngine(sim::Simulator& simulator,
   if (sites.size() <= net::LatencyModel::kMaxPrimedSites) latency_.prime(sites);
 
   // The injector draws from substream_seed(seed, kFaultStream) — stateless,
-  // so constructing it here perturbs neither rng_ nor any fork above. The
-  // sharded engine still builds it (brownout schedules come from plan());
-  // per-message decisions there use the per-node injectors below.
+  // so constructing it here perturbs neither rng_ nor any fork above.
   if (config_.fault.enabled) {
     injector_ =
         std::make_unique<fault::Injector>(config_.fault, nodes, config_.seed);
@@ -362,68 +285,9 @@ UpdateEngine::UpdateEngine(sim::Simulator& simulator,
   rebuild_child_lists();
 
   end_time_ = updates_->duration() + config_.tail_s;
-
-  // Execution lanes. Classic engines have one lane whose `sim` stays null
-  // (the external simulator drives everything); sharded engines partition
-  // servers into contiguous lanes, each with its own internal Simulator,
-  // and anchor the provider to lane 0.
-  const std::size_t server_count = servers_.size();
-  std::size_t lane_count = 1;
-  if (sharded_) lane_count = static_cast<std::size_t>(resolved_shards);
-  lanes_ = std::vector<Lane>(lane_count);
-  lane_of_.assign(server_count + 1, 0);
-  if (sharded_) {
-    for (std::size_t i = 0; i < server_count; ++i) {
-      lane_of_[i + 1] = static_cast<std::uint32_t>(i * lane_count / server_count);
-    }
-    for (Lane& lane : lanes_) lane.sim = std::make_unique<sim::Simulator>();
-    merge_ = std::make_unique<sim::ShardMergeQueue>(lane_count);
-    node_send_seq_.assign(server_count + 1, 0);
-    node_rngs_.reserve(server_count + 1);
-    if (config_.fault.enabled) node_injectors_.resize(server_count + 1);
-    for (std::size_t idx = 0; idx < server_count + 1; ++idx) {
-      node_rngs_.emplace_back(
-          util::substream_seed(config_.seed, kShardNodeRngStream + idx));
-      if (config_.fault.enabled) {
-        node_injectors_[idx] = std::make_unique<fault::Injector>(
-            config_.fault, nodes,
-            util::substream_seed(config_.seed, kShardNodeFaultStream + idx));
-      }
-    }
-  }
 }
 
-UpdateEngine::~UpdateEngine() {
-  // servers_/users_ hold timers and event handles that may be registered on
-  // the engine-owned lane simulators; members are destroyed in reverse
-  // declaration order, which would free the lanes (declared later) first
-  // and leave the timer destructors cancelling into dead event queues.
-  // Tear the handle owners down here, while lanes_ is still alive.
-  users_.clear();
-  servers_.clear();
-}
-
-// ---------------------------------------------------------------------------
-// Lane anchoring
-// ---------------------------------------------------------------------------
-
-sim::Simulator& UpdateEngine::sim_of(NodeId node) {
-  return sharded_ ? *lanes_[lane_index_of(node)].sim : *sim_;
-}
-
-const sim::Simulator& UpdateEngine::sim_of(NodeId node) const {
-  return sharded_ ? *lanes_[lane_index_of(node)].sim : *sim_;
-}
-
-util::Rng& UpdateEngine::rng_of(NodeId node) {
-  return sharded_ ? node_rngs_[static_cast<std::size_t>(node + 1)] : rng_;
-}
-
-fault::Injector* UpdateEngine::injector_of(NodeId node) {
-  if (!sharded_) return injector_.get();
-  if (node_injectors_.empty()) return nullptr;
-  return node_injectors_[static_cast<std::size_t>(node + 1)].get();
-}
+UpdateEngine::~UpdateEngine() = default;
 
 UpdateEngine::SubscriptionState& UpdateEngine::subs_of(NodeId node) {
   if (node == kProviderNode) return provider_subs_;
@@ -442,8 +306,8 @@ void UpdateEngine::bind_metrics() {
   // Every slot is registered up front, even for methods this run never
   // assigns: the exported key set is then a function of nothing but the
   // code version, so outputs diff cleanly across configurations. Values
-  // accumulate in LaneCounters / per-server histograms during the run and
-  // land here in fold_lane_stats().
+  // accumulate in counters_ / per-server histograms during the run and land
+  // here in fold_stats().
   for (std::size_t m = 0; m < kUpdateMethodCount; ++m) {
     const std::string suffix(to_string(static_cast<UpdateMethod>(m)));
     metrics_.counter("engine.updates_acquired." + suffix);
@@ -472,9 +336,6 @@ void UpdateEngine::bind_metrics() {
 
 void UpdateEngine::bind_profiler() {
   profiler_ = config_.profiler;
-  // Event handlers run on worker threads under sharding; the Profiler is
-  // single-threaded and stays with the driver (tree build, shard.merge).
-  event_profiler_ = sharded_ ? nullptr : profiler_;
   if (profiler_ == nullptr) return;
   ps_send_ = profiler_->intern("engine.send");
   ps_version_ = profiler_->intern("engine.version");
@@ -486,7 +347,6 @@ void UpdateEngine::bind_profiler() {
   ps_mode_switch_ = profiler_->intern("engine.mode_switch");
   ps_tree_build_ = profiler_->intern("topology.build_tree");
   ps_repair_ = profiler_->intern("topology.repair");
-  ps_shard_merge_ = profiler_->intern("shard.merge");
 
   tag_slots_.assign(kEngineTagCount, 0);
   tag_slots_[sim::kUntaggedEvent] = profiler_->intern("sim.untagged");
@@ -553,12 +413,10 @@ void UpdateEngine::bind_timeseries() {
   c.uplink_brownout = ts_->add_gauge("net.provider_uplink.brownout");
 }
 
-// Records one row at ts_->next_sample_time(). The caller guarantees every
-// event with time strictly before that point has fired and no later one
-// has (classic: run_before(next_sample_time); sharded: sample points are
-// interleaved with the epoch barriers) — so everything staged here is a
-// pure function of the simulated history up to the grid point, identical
-// for every lane decomposition and worker count.
+// Records one row at ts_->next_sample_time(). The caller (run()) guarantees
+// every event with time strictly before that point has fired and no later
+// one has — so everything staged here is a pure function of the simulated
+// history up to the grid point.
 void UpdateEngine::sample_timeseries() {
   const double t = ts_->next_sample_time();
   const TsColumns& c = ts_cols_;
@@ -590,9 +448,9 @@ void UpdateEngine::sample_timeseries() {
     ts_->stage(c.open_windows[m], static_cast<double>(stale_by_method[m]));
   }
 
-  // Engine/fault/reliable activity: stage the cumulative lane-counter sums;
-  // the delta columns emit per-interval differences.
-  const LaneCounters lc = sum_lane_counters();
+  // Engine/fault/reliable activity: stage the cumulative counters; the
+  // delta columns emit per-interval differences.
+  const Counters& lc = counters_;
   for (std::size_t m = 0; m < kUpdateMethodCount; ++m) {
     ts_->stage(c.acquired[m], static_cast<double>(lc.acquired[m]));
     ts_->stage(c.polls[m], static_cast<double>(lc.polls[m]));
@@ -622,12 +480,8 @@ void UpdateEngine::sample_timeseries() {
              static_cast<double>(lc.pubsub.lagging_enter -
                                  lc.pubsub.lagging_exit));
 
-  // Transport: per-kind message counts summed over the lane meters.
-  std::array<std::uint64_t, net::kMessageKindCount> kinds{};
-  for (const Lane& lane : lanes_) {
-    const auto& kc = lane.meter.kind_counts();
-    for (std::size_t k = 0; k < net::kMessageKindCount; ++k) kinds[k] += kc[k];
-  }
+  // Transport: per-kind message counts.
+  const auto& kinds = meter_.kind_counts();
   for (std::size_t k = 0; k < net::kMessageKindCount; ++k) {
     ts_->stage(c.messages[k], static_cast<double>(kinds[k]));
   }
@@ -638,18 +492,6 @@ void UpdateEngine::sample_timeseries() {
   ts_->stage(c.uplink_brownout, pu.bandwidth_scale() < 1.0 ? 1.0 : 0.0);
 
   ts_->take_sample();
-
-  // Host-only shard-pipeline health rides the same cadence but never the
-  // deterministic section.
-  if (sharded_) {
-    std::vector<std::uint64_t> lane_events;
-    lane_events.reserve(lanes_.size());
-    for (const Lane& lane : lanes_) {
-      lane_events.push_back(lane.sim->events_processed());
-    }
-    ts_->shard_health_sample(t, merge_->staged_count(), ts_barrier_wait_ns_,
-                             std::move(lane_events));
-  }
 }
 
 void UpdateEngine::finish_timeseries() {
@@ -657,60 +499,15 @@ void UpdateEngine::finish_timeseries() {
   for (Version v = 1; v <= updates_->update_count(); ++v) {
     ts_->span_publish(static_cast<std::uint64_t>(v), updates_->update_time(v));
   }
-  for (const Lane& lane : lanes_) ts_->fold_spans(lane.spans);
+  ts_->fold_spans(spans_);
   ts_->set_replica_count(servers_.size());
-  ts_->set_shards(sharded_ ? static_cast<std::uint32_t>(lanes_.size()) : 0);
 }
 
-void UpdateEngine::update_shard_progress() {
-  obs::ShardProgress* p = config_.shard_progress;
-  if (p == nullptr) return;
-  const std::size_t n =
-      std::min(lanes_.size(), obs::ShardProgress::kMaxLanes);
-  p->lanes.store(static_cast<std::uint32_t>(n), std::memory_order_relaxed);
-  for (std::size_t i = 0; i < n; ++i) {
-    p->lane_events[i].store(lanes_[i].sim->events_processed(),
-                            std::memory_order_relaxed);
-    p->staged_rows[i].store(merge_->incoming_count(i),
-                            std::memory_order_relaxed);
-  }
-}
-
-UpdateEngine::LaneCounters UpdateEngine::sum_lane_counters() const {
-  LaneCounters total;
-  for (const Lane& lane : lanes_) {
-    const LaneCounters& c = lane.counters;
-    for (std::size_t m = 0; m < kUpdateMethodCount; ++m) {
-      total.acquired[m] += c.acquired[m];
-      total.polls[m] += c.polls[m];
-      total.fetches[m] += c.fetches[m];
-      total.invalidations[m] += c.invalidations[m];
-    }
-    total.mode_switches += c.mode_switches;
-    total.visits += c.visits;
-    total.visits_unanswered += c.visits_unanswered;
-    total.fault_dropped += c.fault_dropped;
-    total.fault_partition_dropped += c.fault_partition_dropped;
-    total.fault_duplicated += c.fault_duplicated;
-    total.fault_brownouts += c.fault_brownouts;
-    total.reliable_retries += c.reliable_retries;
-    total.reliable_give_ups += c.reliable_give_ups;
-    total.pubsub.live_deliveries += c.pubsub.live_deliveries;
-    total.pubsub.suppressed_deliveries += c.pubsub.suppressed_deliveries;
-    total.pubsub.catch_up_messages += c.pubsub.catch_up_messages;
-    total.pubsub.catch_up_reads += c.pubsub.catch_up_reads;
-    total.pubsub.skipped_ahead += c.pubsub.skipped_ahead;
-    total.pubsub.lagging_enter += c.pubsub.lagging_enter;
-    total.pubsub.lagging_exit += c.pubsub.lagging_exit;
-  }
-  return total;
-}
-
-void UpdateEngine::fold_lane_stats() {
+void UpdateEngine::fold_stats() {
   if (stats_folded_) return;
   stats_folded_ = true;
 
-  const LaneCounters total = sum_lane_counters();
+  const Counters& total = counters_;
   for (std::size_t m = 0; m < kUpdateMethodCount; ++m) {
     const std::string suffix(to_string(static_cast<UpdateMethod>(m)));
     metrics_.counter("engine.updates_acquired." + suffix).inc(total.acquired[m]);
@@ -737,18 +534,11 @@ void UpdateEngine::fold_lane_stats() {
   metrics_.counter("pubsub.lagging_enter").inc(total.pubsub.lagging_enter);
   metrics_.counter("pubsub.lagging_exit").inc(total.pubsub.lagging_exit);
 
-  // Per-server histograms fold in ascending server order in every mode, so
-  // the bucket counts and the floating-point sum are independent of lane
-  // decomposition and event interleaving.
+  // Per-server histograms fold in ascending server order, so the bucket
+  // counts and the floating-point sum are independent of event interleaving.
   obs::Histogram& hist =
       metrics_.histogram("engine.inconsistency_window_s", inconsistency_bounds());
   for (const auto& s : servers_) hist.merge_from(s->inconsistency);
-
-  for (const Lane& lane : lanes_) meter_.merge_from(lane.meter);
-  // Per-sender totals are accumulated wholly within one lane; rebuilding
-  // the grand totals from them in sender order makes the floating-point
-  // sums shard-count-invariant too.
-  if (sharded_) meter_.rebuild_totals_from_senders();
 }
 
 void UpdateEngine::materialize_user_logs() {
@@ -816,43 +606,18 @@ void UpdateEngine::materialize_user_logs() {
 
 void UpdateEngine::publish_run_stats() {
   materialize_user_logs();
-  fold_lane_stats();
+  fold_stats();
 
-  if (!sharded_) {
-    const sim::EventQueue::Stats& qs = sim_->queue_stats();
-    metrics_.gauge("sim.events_scheduled").set(static_cast<double>(qs.pushes));
-    metrics_.gauge("sim.events_fired")
-        .set(static_cast<double>(sim_->events_processed()));
-    metrics_.gauge("sim.events_cancelled")
-        .set(static_cast<double>(qs.cancellations));
-    metrics_.gauge("sim.queue_compactions")
-        .set(static_cast<double>(qs.compactions));
-    metrics_.gauge("sim.queue_peak_depth")
-        .set(static_cast<double>(qs.peak_live));
-    metrics_.gauge("sim.end_time_s").set(sim_->now());
-  } else {
-    std::uint64_t pushes = 0;
-    std::uint64_t cancellations = 0;
-    for (const Lane& lane : lanes_) {
-      pushes += lane.sim->queue_stats().pushes;
-      cancellations += lane.sim->queue_stats().cancellations;
-    }
-    // As in events_processed(): the per-lane horizon flush is one logical
-    // event, not lane_count of them.
-    pushes -= std::min<std::uint64_t>(pushes, lanes_.size() - 1);
-    metrics_.gauge("sim.events_scheduled").set(static_cast<double>(pushes));
-    metrics_.gauge("sim.events_fired")
-        .set(static_cast<double>(events_processed()));
-    metrics_.gauge("sim.events_cancelled")
-        .set(static_cast<double>(cancellations));
-    // Compactions and peak depth are per-queue quantities with no
-    // decomposition-independent total; published as 0 so the key set stays
-    // fixed while every value remains a pure function of the simulated
-    // history (byte-identical across shard and worker counts).
-    metrics_.gauge("sim.queue_compactions").set(0.0);
-    metrics_.gauge("sim.queue_peak_depth").set(0.0);
-    metrics_.gauge("sim.end_time_s").set(final_time());
-  }
+  const sim::EventQueue::Stats& qs = sim_->queue_stats();
+  metrics_.gauge("sim.events_scheduled").set(static_cast<double>(qs.pushes));
+  metrics_.gauge("sim.events_fired")
+      .set(static_cast<double>(sim_->events_processed()));
+  metrics_.gauge("sim.events_cancelled")
+      .set(static_cast<double>(qs.cancellations));
+  metrics_.gauge("sim.queue_compactions")
+      .set(static_cast<double>(qs.compactions));
+  metrics_.gauge("sim.queue_peak_depth").set(static_cast<double>(qs.peak_live));
+  metrics_.gauge("sim.end_time_s").set(sim_->now());
 
   const net::TrafficTotals& t = meter_.totals();
   metrics_.gauge("net.cost_km_kb").set(t.cost_km_kb);
@@ -888,10 +653,9 @@ void UpdateEngine::publish_run_stats() {
     subscriptions += t.content.size() + t.notice.size();
   }
   metrics_.gauge("pubsub.subscriptions").set(static_cast<double>(subscriptions));
-  const LaneCounters total = sum_lane_counters();
   metrics_.gauge("pubsub.lagging_subscribers")
-      .set(static_cast<double>(total.pubsub.lagging_enter -
-                               total.pubsub.lagging_exit));
+      .set(static_cast<double>(counters_.pubsub.lagging_enter -
+                               counters_.pubsub.lagging_exit));
 }
 
 // ---------------------------------------------------------------------------
@@ -916,88 +680,42 @@ static std::size_t site_index(NodeId node) {
 }
 
 sim::SimTime UpdateEngine::draw_latency(NodeId from, NodeId to) {
-  util::Rng& rng = rng_of(from);
   if (latency_.primed()) {
     return latency_.one_way_between(site_index(from), site_index(to),
-                                    nodes_->crosses_isp(from, to), rng);
+                                    nodes_->crosses_isp(from, to), rng_);
   }
-  // Unprimed fallback (site set above kMaxPrimedSites): one_way()'s
-  // one-entry memo is not thread-safe, so sharded lanes take the uncached
-  // variant — identical bits and rng consumption.
-  return sharded_ ? latency_.one_way_uncached(location_of(from), location_of(to),
-                                              nodes_->crosses_isp(from, to), rng)
-                  : latency_.one_way(location_of(from), location_of(to),
-                                     nodes_->crosses_isp(from, to), rng);
+  // Unprimed fallback (site set above kMaxPrimedSites).
+  return latency_.one_way(location_of(from), location_of(to),
+                          nodes_->crosses_isp(from, to), rng_);
 }
 
 // Deliveries to an absent server are deferred until it returns
 // (retransmission by the reliable transport); deliveries to a *crashed*
 // server are lost — the node resynchronises when it rejoins.
-//
-// Sharded engines additionally quantize every arrival up to the first
-// epoch-grid point after the send time, and route ALL messages — same-lane
-// included, so lane decomposition cannot change any arrival — through the
-// merge queue. The quantized arrival lands at a time no lane has reached
-// when the driver injects it (events fired per round lie in one epoch cell,
-// whose closing grid point is exactly this barrier).
-sim::SimTime UpdateEngine::shard_barrier(sim::SimTime now) const {
-  const double epoch = config_.shard.epoch_s;
-  sim::SimTime barrier = (std::floor(now / epoch) + 1.0) * epoch;
-  if (barrier <= now) barrier = (std::floor(now / epoch) + 2.0) * epoch;
-  return barrier;
-}
-
-void UpdateEngine::schedule_delivery(NodeId from, NodeId to,
-                                     net::MessageKind kind, sim::SimTime arrival,
-                                     sim::EventAction action) {
-  if (sharded_) {
-    const sim::SimTime barrier = shard_barrier(sim_of(from).now());
-    if (arrival < barrier) arrival = barrier;
-  }
-  deliver_at(from, to, kind, arrival, std::move(action));
-}
-
-void UpdateEngine::deliver_at(NodeId from, NodeId to, net::MessageKind kind,
+void UpdateEngine::deliver_at(NodeId to, net::MessageKind kind,
                               sim::SimTime arrival, sim::EventAction action) {
-  if (to != kProviderNode) {
-    const ServerState& dest = *servers_[static_cast<std::size_t>(to)];
-    if (dest.absence) {
-      const sim::SimTime available = dest.absence->available_from(arrival);
-      if (available > arrival) arrival = available + 0.001;
-    }
-    sim::EventAction guarded = [this, to, action = std::move(action)]() mutable {
-      if (servers_[static_cast<std::size_t>(to)]->departed) return;
-      action();
-    };
-    if (sharded_) {
-      merge_->emit(lane_index_of(from),
-                   {arrival, from,
-                    node_send_seq_[static_cast<std::size_t>(from + 1)]++,
-                    static_cast<std::uint32_t>(lane_index_of(to)),
-                    delivery_tag(kind), std::move(guarded)});
-    } else {
-      sim_->at(arrival, delivery_tag(kind), std::move(guarded));
-    }
+  if (to == kProviderNode) {
+    sim_->at(arrival, delivery_tag(kind), std::move(action));
     return;
   }
-  if (sharded_) {
-    merge_->emit(lane_index_of(from),
-                 {arrival, from,
-                  node_send_seq_[static_cast<std::size_t>(from + 1)]++,
-                  static_cast<std::uint32_t>(lane_index_of(to)),
-                  delivery_tag(kind), std::move(action)});
-  } else {
-    sim_->at(arrival, delivery_tag(kind), std::move(action));
+  const ServerState& dest = *servers_[static_cast<std::size_t>(to)];
+  if (dest.absence) {
+    const sim::SimTime available = dest.absence->available_from(arrival);
+    if (available > arrival) arrival = available + 0.001;
   }
+  sim_->at(arrival, delivery_tag(kind),
+           [this, to, action = std::move(action)]() mutable {
+             if (servers_[static_cast<std::size_t>(to)]->departed) return;
+             action();
+           });
 }
 
-void UpdateEngine::record_injected_drop(bool partitioned, NodeId from,
-                                        NodeId to) {
-  LaneCounters& c = counters_of(from);
-  ++(partitioned ? c.fault_partition_dropped : c.fault_dropped);
+void UpdateEngine::record_injected_drop(bool partitioned, NodeId to) {
+  ++(partitioned ? counters_.fault_partition_dropped
+                 : counters_.fault_dropped);
   if (config_.record_trace_events) {
     trace_.instant(partitioned ? "partition_drop" : "drop", "fault",
-                   sim_of(from).now(), to);
+                   sim_->now(), to);
   }
 }
 
@@ -1013,93 +731,82 @@ void UpdateEngine::send(NodeId from, NodeId to, net::MessageKind kind,
 void UpdateEngine::send_unreliable(NodeId from, NodeId to,
                                    net::MessageKind kind, double size_kb,
                                    sim::EventAction on_delivery) {
-  obs::ProfileScope scope(event_profiler_, ps_send_);
-  const sim::SimTime now = sim_of(from).now();
+  obs::ProfileScope scope(profiler_, ps_send_);
+  const sim::SimTime now = sim_->now();
   const sim::SimTime depart = uplink_of(from).reserve(now, size_kb);
   const sim::SimTime delay = draw_latency(from, to);
-  meter_of(from).record(kind, from, nodes_->distance_km(from, to), size_kb);
+  meter_.record(kind, from, nodes_->distance_km(from, to), size_kb);
   sim::SimTime arrival = depart + delay;
 
-  if (fault::Injector* injector = injector_of(from)) {
+  if (fault::Injector* injector = injector_.get()) {
     const fault::Injector::Decision d = injector->decide(from, to, now);
     // A dropped message has already paid the uplink and the meter: it was
     // sent, then lost in flight.
     if (d.drop) {
-      record_injected_drop(d.partitioned, from, to);
+      record_injected_drop(d.partitioned, to);
       return;
     }
     arrival += d.extra_delay_s;
     if (d.duplicate) {
-      ++counters_of(from).fault_duplicated;
+      ++counters_.fault_duplicated;
       // EventAction is move-only; both copies run the same shared action
       // (at-least-once delivery of an unreliable network).
       auto shared = std::make_shared<sim::EventAction>(std::move(on_delivery));
-      schedule_delivery(from, to, kind, arrival, [shared] { (*shared)(); });
-      schedule_delivery(from, to, kind, arrival + d.duplicate_extra_delay_s,
-                        [shared] { (*shared)(); });
+      deliver_at(to, kind, arrival, [shared] { (*shared)(); });
+      deliver_at(to, kind, arrival + d.duplicate_extra_delay_s,
+                 [shared] { (*shared)(); });
       return;
     }
   }
-  schedule_delivery(from, to, kind, arrival, std::move(on_delivery));
+  deliver_at(to, kind, arrival, std::move(on_delivery));
 }
 
 // One fan-out of unreliable messages from a single sender, with the
 // per-message engine lookups of send_unreliable hoisted out of the child
-// loop: one clock read, one uplink / meter / injector resolve, and (for
-// sharded engines) one barrier quantization. Per-child work keeps the exact
-// reserve -> latency-draw -> meter -> injector sequence of send_unreliable,
-// so every RNG draw and floating-point accumulation is bit-identical to a
-// loop of individual send_unreliable calls — only redundant lookups and the
-// per-message profile scope are amortized. Sim time cannot advance during a
-// synchronous fan-out, so the single `now` matches what each send would
-// have read.
+// loop: one clock read and one uplink / injector resolve. Per-child work
+// keeps the exact reserve -> latency-draw -> meter -> injector sequence of
+// send_unreliable, so every RNG draw and floating-point accumulation is
+// bit-identical to a loop of individual send_unreliable calls — only
+// redundant lookups and the per-message profile scope are amortized. Sim
+// time cannot advance during a synchronous fan-out, so the single `now`
+// matches what each send would have read.
 struct UpdateEngine::FanoutBatch {
   UpdateEngine& e;
   const NodeId from;
   const sim::SimTime now;
   net::Uplink& uplink;
-  net::TrafficMeter& meter;
   fault::Injector* const injector;
-  const sim::SimTime barrier;  // unused when !e.sharded_
 
   FanoutBatch(UpdateEngine& engine, NodeId sender)
       : e(engine),
         from(sender),
-        now(e.sim_of(sender).now()),
+        now(e.sim_->now()),
         uplink(e.uplink_of(sender)),
-        meter(e.meter_of(sender)),
-        injector(e.injector_of(sender)),
-        barrier(e.sharded_ ? e.shard_barrier(now) : 0.0) {}
+        injector(e.injector_.get()) {}
 
   void send(NodeId to, net::MessageKind kind, double size_kb,
             sim::EventAction on_delivery) {
     const sim::SimTime depart = uplink.reserve(now, size_kb);
     const sim::SimTime delay = e.draw_latency(from, to);
-    meter.record(kind, from, e.nodes_->distance_km(from, to), size_kb);
+    e.meter_.record(kind, from, e.nodes_->distance_km(from, to), size_kb);
     sim::SimTime arrival = depart + delay;
     if (injector != nullptr) {
       const fault::Injector::Decision d = injector->decide(from, to, now);
       if (d.drop) {
-        e.record_injected_drop(d.partitioned, from, to);
+        e.record_injected_drop(d.partitioned, to);
         return;
       }
       arrival += d.extra_delay_s;
       if (d.duplicate) {
-        ++e.counters_of(from).fault_duplicated;
+        ++e.counters_.fault_duplicated;
         auto shared = std::make_shared<sim::EventAction>(std::move(on_delivery));
-        deliver(to, kind, arrival, [shared] { (*shared)(); });
-        deliver(to, kind, arrival + d.duplicate_extra_delay_s,
-                [shared] { (*shared)(); });
+        e.deliver_at(to, kind, arrival, [shared] { (*shared)(); });
+        e.deliver_at(to, kind, arrival + d.duplicate_extra_delay_s,
+                     [shared] { (*shared)(); });
         return;
       }
     }
-    deliver(to, kind, arrival, std::move(on_delivery));
-  }
-
-  void deliver(NodeId to, net::MessageKind kind, sim::SimTime arrival,
-               sim::EventAction action) {
-    if (e.sharded_ && arrival < barrier) arrival = barrier;
-    e.deliver_at(from, to, kind, arrival, std::move(action));
+    e.deliver_at(to, kind, arrival, std::move(on_delivery));
   }
 };
 
@@ -1120,33 +827,32 @@ void UpdateEngine::send_reliable(NodeId from, NodeId to, net::MessageKind kind,
 
 void UpdateEngine::reliable_attempt(const std::shared_ptr<ReliableState>& st,
                                     int attempt) {
-  obs::ProfileScope scope(event_profiler_, ps_send_);
-  const sim::SimTime now = sim_of(st->from).now();
+  obs::ProfileScope scope(profiler_, ps_send_);
+  const sim::SimTime now = sim_->now();
   const sim::SimTime depart = uplink_of(st->from).reserve(now, st->size_kb);
   const sim::SimTime delay = draw_latency(st->from, st->to);
-  meter_of(st->from).record(st->kind, st->from,
-                            nodes_->distance_km(st->from, st->to), st->size_kb);
+  meter_.record(st->kind, st->from, nodes_->distance_km(st->from, st->to),
+                st->size_kb);
   sim::SimTime arrival = depart + delay;
 
   bool lost = false;
-  if (fault::Injector* injector = injector_of(st->from)) {
+  if (fault::Injector* injector = injector_.get()) {
     const fault::Injector::Decision d = injector->decide(st->from, st->to, now);
     if (d.drop) {
       lost = true;
-      record_injected_drop(d.partitioned, st->from, st->to);
+      record_injected_drop(d.partitioned, st->to);
     } else {
       arrival += d.extra_delay_s;
       if (d.duplicate) {
-        ++counters_of(st->from).fault_duplicated;
-        schedule_delivery(st->from, st->to, st->kind,
-                          arrival + d.duplicate_extra_delay_s,
-                          [this, st] { reliable_deliver(st); });
+        ++counters_.fault_duplicated;
+        deliver_at(st->to, st->kind, arrival + d.duplicate_extra_delay_s,
+                   [this, st] { reliable_deliver(st); });
       }
     }
   }
   if (!lost) {
-    schedule_delivery(st->from, st->to, st->kind, arrival,
-                      [this, st] { reliable_deliver(st); });
+    deliver_at(st->to, st->kind, arrival,
+               [this, st] { reliable_deliver(st); });
   }
 
   // Arm the retransmission deadline regardless of the fate of this copy —
@@ -1154,7 +860,7 @@ void UpdateEngine::reliable_attempt(const std::shared_ptr<ReliableState>& st,
   const sim::SimTime deadline =
       config_.reliable.ack_timeout_s *
       std::pow(config_.reliable.backoff_factor, attempt);
-  sim_of(st->from).at(now + deadline, kTagRetry, [this, st, attempt] {
+  sim_->at(now + deadline, kTagRetry, [this, st, attempt] {
     if (st->acked) return;
     // A crashed sender retransmits nothing; churn resync covers its state.
     if (st->from != kProviderNode &&
@@ -1162,9 +868,9 @@ void UpdateEngine::reliable_attempt(const std::shared_ptr<ReliableState>& st,
       return;
     }
     if (attempt >= config_.reliable.max_retries) {
-      ++counters_of(st->from).reliable_give_ups;
+      ++counters_.reliable_give_ups;
       if (config_.record_trace_events) {
-        trace_.instant("give_up", "fault", sim_of(st->from).now(), st->to);
+        trace_.instant("give_up", "fault", sim_->now(), st->to);
       }
       // A flow-controlled pub/sub transmission settles as lost: its credit
       // frees and the subscriber re-tails the log (unless a late ack
@@ -1177,7 +883,7 @@ void UpdateEngine::reliable_attempt(const std::shared_ptr<ReliableState>& st,
       }
       return;
     }
-    ++counters_of(st->from).reliable_retries;
+    ++counters_.reliable_retries;
     reliable_attempt(st, attempt + 1);
   });
 }
@@ -1193,28 +899,28 @@ void UpdateEngine::reliable_deliver(const std::shared_ptr<ReliableState>& st) {
 }
 
 void UpdateEngine::send_ack(const std::shared_ptr<ReliableState>& st) {
-  obs::ProfileScope scope(event_profiler_, ps_send_);
+  obs::ProfileScope scope(profiler_, ps_send_);
   // The ack travels to -> from; st->to is the sender here.
-  const sim::SimTime now = sim_of(st->to).now();
+  const sim::SimTime now = sim_->now();
   const sim::SimTime depart =
       uplink_of(st->to).reserve(now, config_.light_packet_kb);
   const sim::SimTime delay = draw_latency(st->to, st->from);
-  meter_of(st->to).record(net::MessageKind::kAck, st->to,
-                          nodes_->distance_km(st->to, st->from),
-                          config_.light_packet_kb);
+  meter_.record(net::MessageKind::kAck, st->to,
+                nodes_->distance_km(st->to, st->from),
+                config_.light_packet_kb);
   sim::SimTime arrival = depart + delay;
-  if (fault::Injector* injector = injector_of(st->to)) {
+  if (fault::Injector* injector = injector_.get()) {
     const fault::Injector::Decision d = injector->decide(st->to, st->from, now);
     if (d.drop) {
-      record_injected_drop(d.partitioned, st->to, st->from);
+      record_injected_drop(d.partitioned, st->from);
       return;
     }
     arrival += d.extra_delay_s;
     // A duplicated ack is indistinguishable from one: setting `acked` twice
     // is harmless, so the duplicate is simply not scheduled.
   }
-  schedule_delivery(st->to, st->from, net::MessageKind::kAck, arrival,
-                    [this, st] { on_ack(st); });
+  deliver_at(st->from, net::MessageKind::kAck, arrival,
+             [this, st] { on_ack(st); });
 }
 
 // ---------------------------------------------------------------------------
@@ -1224,18 +930,18 @@ void UpdateEngine::send_ack(const std::shared_ptr<ReliableState>& st) {
 void UpdateEngine::schedule_brownouts() {
   if (injector_ == nullptr) return;
   for (const fault::Brownout& b : injector_->plan().brownouts) {
-    sim_of(b.node).at(b.start, kTagFault, [this, b] {
+    sim_->at(b.start, kTagFault, [this, b] {
       uplink_of(b.node).set_bandwidth_scale(b.bandwidth_factor);
-      ++counters_of(b.node).fault_brownouts;
+      ++counters_.fault_brownouts;
       if (config_.record_trace_events) {
-        trace_.instant("brownout_start", "fault", sim_of(b.node).now(), b.node);
+        trace_.instant("brownout_start", "fault", sim_->now(), b.node);
       }
     });
-    sim_of(b.node).at(b.end, kTagFault, [this, b] {
+    sim_->at(b.end, kTagFault, [this, b] {
       uplink_of(b.node).set_bandwidth_scale(1.0);
-      ++counters_of(b.node).fault_brownouts;
+      ++counters_.fault_brownouts;
       if (config_.record_trace_events) {
-        trace_.instant("brownout_end", "fault", sim_of(b.node).now(), b.node);
+        trace_.instant("brownout_end", "fault", sim_->now(), b.node);
       }
     });
   }
@@ -1247,7 +953,7 @@ void UpdateEngine::schedule_brownouts() {
 
 Version UpdateEngine::node_version(NodeId node) {
   if (node == kProviderNode) {
-    return provider_->true_version_at(sim_of(kProviderNode).now());
+    return provider_->true_version_at(sim_->now());
   }
   return version_of(node);
 }
@@ -1285,23 +991,23 @@ void UpdateEngine::rebuild_child_lists() {
 
 void UpdateEngine::acquire_version(ServerState& s, Version v) {
   if (v <= version_of(s.id)) return;
-  obs::ProfileScope scope(event_profiler_, ps_version_);
+  obs::ProfileScope scope(profiler_, ps_version_);
   // Pending visits observed the pre-update content; flush them before the
   // version moves (no-op while the server pumps per-visit events).
   catch_up_visits(s);
-  const sim::SimTime now = sim_of(s.id).now();
+  const sim::SimTime now = sim_->now();
   version_of(s.id) = v;
   s.recorder.on_version(v, now);
   s.last_known_update_time = updates_->update_time(v);
-  ++counters_of(s.id).acquired[method_index(s.method)];
+  ++counters_.acquired[method_index(s.method)];
   // The inconsistency window for version v at this replica: origin update
   // time to local acquisition (sim time on both ends — deterministic).
   s.inconsistency.observe(now - s.last_known_update_time);
   if (ts_ != nullptr) {
-    // Propagation span: the same publish->apply latency, recorded into the
-    // owning lane's buffer (single-writer) and rolled up at report time.
-    lanes_[sharded_ ? lane_index_of(s.id) : 0].spans.record(
-        static_cast<std::uint64_t>(v), now - s.last_known_update_time);
+    // Propagation span: the same publish->apply latency, rolled up at
+    // report time.
+    spans_.record(static_cast<std::uint64_t>(v),
+                  now - s.last_known_update_time);
   }
   if (config_.record_trace_events) {
     trace_.complete("v" + std::to_string(v),
@@ -1316,7 +1022,7 @@ void UpdateEngine::acquire_version(ServerState& s, Version v) {
 /// notice-receiving children (plain Invalidation children always; subscribed
 /// self-adaptive children once per subscription).
 void UpdateEngine::notify_children(NodeId node, Version v) {
-  obs::ProfileScope scope(event_profiler_, ps_invalidate_);
+  obs::ProfileScope scope(profiler_, ps_invalidate_);
   if (pubsub_active_) {
     pubsub_publish(node, PubsubChannel::kNotice, v);
     return;
@@ -1355,7 +1061,7 @@ void UpdateEngine::notify_children(NodeId node, Version v) {
 }
 
 void UpdateEngine::propagate_to_children(NodeId node, Version v) {
-  obs::ProfileScope scope(event_profiler_, ps_push_);
+  obs::ProfileScope scope(profiler_, ps_push_);
   if (pubsub_active_) {
     pubsub_publish(node, PubsubChannel::kContent, v);
     notify_children(node, v);
@@ -1402,7 +1108,7 @@ void UpdateEngine::pubsub_publish(NodeId node, PubsubChannel ch, Version v) {
                                         : net::MessageKind::kInvalidation;
   const double size_kb =
       content ? config_.update_packet_kb : config_.light_packet_kb;
-  const sim::SimTime now = sim_of(node).now();
+  const sim::SimTime now = sim_->now();
   SubscriptionState* subs = content ? nullptr : &subs_of(node);
   auto allowed = [&](const pubsub::Subscriber& s) {
     if (!s.gated) return true;
@@ -1413,7 +1119,7 @@ void UpdateEngine::pubsub_publish(NodeId node, PubsubChannel ch, Version v) {
     subs->notified.insert(s.node);
     return true;
   };
-  pubsub::Fanout fanout(topic, &flow_, counters_of(node).pubsub);
+  pubsub::Fanout fanout(topic, &flow_, counters_.pubsub);
   const auto seq = static_cast<pubsub::SequenceNumber>(v);
   if (config_.reliable.enabled) {
     fanout.publish(seq, now, allowed,
@@ -1497,14 +1203,13 @@ void UpdateEngine::pubsub_transmit(NodeId relay, PubsubChannel ch,
   // Unreliable transport: nothing confirms receipt, so the sender settles
   // the credit at the nominal arrival instant of its own transmission (an
   // optimistic transport-level estimate); a copy lost to the injector
-  // settles as lost at the same instant. The settle event is sender-local
-  // bookkeeping, so it needs no barrier quantization under sharding.
+  // settles as lost at the same instant.
   std::optional<FanoutBatch> local;
   if (batch == nullptr) local.emplace(*this, relay);
   FanoutBatch& b = batch != nullptr ? *batch : *local;
   const sim::SimTime depart = b.uplink.reserve(b.now, size_kb);
   const sim::SimTime delay = draw_latency(relay, sub.node);
-  b.meter.record(kind, relay, nodes_->distance_km(relay, sub.node), size_kb);
+  meter_.record(kind, relay, nodes_->distance_km(relay, sub.node), size_kb);
   sim::SimTime arrival = depart + delay;
   bool lost = false;
   bool scheduled = false;
@@ -1512,28 +1217,28 @@ void UpdateEngine::pubsub_transmit(NodeId relay, PubsubChannel ch,
     const fault::Injector::Decision d = b.injector->decide(relay, sub.node, b.now);
     if (d.drop) {
       lost = true;
-      record_injected_drop(d.partitioned, relay, sub.node);
+      record_injected_drop(d.partitioned, sub.node);
     } else {
       arrival += d.extra_delay_s;
       if (d.duplicate) {
-        ++counters_of(relay).fault_duplicated;
+        ++counters_.fault_duplicated;
         auto shared = std::make_shared<sim::EventAction>(std::move(action));
-        b.deliver(sub.node, kind, arrival, [shared] { (*shared)(); });
-        b.deliver(sub.node, kind, arrival + d.duplicate_extra_delay_s,
-                  [shared] { (*shared)(); });
+        deliver_at(sub.node, kind, arrival, [shared] { (*shared)(); });
+        deliver_at(sub.node, kind, arrival + d.duplicate_extra_delay_s,
+                   [shared] { (*shared)(); });
         scheduled = true;
       }
     }
   }
   if (!lost && !scheduled) {
-    b.deliver(sub.node, kind, arrival, std::move(action));
+    deliver_at(sub.node, kind, arrival, std::move(action));
   }
   const bool ok = !lost;
   const std::uint64_t gen = pubsub_generation_;
-  sim_of(relay).at(arrival, kTagPubsubSettle,
-                   [this, relay, ch, sid, v, ok, catch_up, gen] {
-                     pubsub_settle(relay, ch, sid, v, ok, catch_up, gen);
-                   });
+  sim_->at(arrival, kTagPubsubSettle,
+           [this, relay, ch, sid, v, ok, catch_up, gen] {
+             pubsub_settle(relay, ch, sid, v, ok, catch_up, gen);
+           });
 }
 
 void UpdateEngine::pubsub_settle(NodeId relay, PubsubChannel ch,
@@ -1541,13 +1246,13 @@ void UpdateEngine::pubsub_settle(NodeId relay, PubsubChannel ch,
                                  bool catch_up, std::uint64_t generation) {
   if (generation != pubsub_generation_) return;  // topology was rebuilt
   pubsub::Topic& topic = topic_of(relay, ch);
-  pubsub::Fanout fanout(topic, &flow_, counters_of(relay).pubsub);
+  pubsub::Fanout fanout(topic, &flow_, counters_.pubsub);
   if (fanout.settle(sid, static_cast<pubsub::SequenceNumber>(v), ok,
                     catch_up)) {
     pubsub_send_tail(relay, ch, sid);
     return;
   }
-  if (ok || sim_of(relay).now() >= end_time_) return;
+  if (ok || sim_->now() >= end_time_) return;
   // The transmission was lost and the subscriber still trails the log.
   // Reliable transports spaced this loss out by their whole retry budget,
   // so they may re-tail immediately; unreliable ones re-arm on a timer —
@@ -1557,23 +1262,23 @@ void UpdateEngine::pubsub_settle(NodeId relay, PubsubChannel ch,
     return;
   }
   const std::uint64_t gen = pubsub_generation_;
-  sim_of(relay).at(sim_of(relay).now() + config_.pubsub.catchup_retry_s,
-                   kTagPubsubSettle, [this, relay, ch, sid, gen] {
-                     pubsub_retry_catch_up(relay, ch, sid, gen);
-                   });
+  sim_->at(sim_->now() + config_.pubsub.catchup_retry_s, kTagPubsubSettle,
+           [this, relay, ch, sid, gen] {
+             pubsub_retry_catch_up(relay, ch, sid, gen);
+           });
 }
 
 void UpdateEngine::pubsub_retry_catch_up(NodeId relay, PubsubChannel ch,
                                          pubsub::SubscriberId sid,
                                          std::uint64_t generation) {
   if (generation != pubsub_generation_) return;
-  if (sim_of(relay).now() >= end_time_) return;
+  if (sim_->now() >= end_time_) return;
   if (relay != kProviderNode &&
       servers_[static_cast<std::size_t>(relay)]->departed) {
     return;
   }
   pubsub::Topic& topic = topic_of(relay, ch);
-  pubsub::Fanout fanout(topic, &flow_, counters_of(relay).pubsub);
+  pubsub::Fanout fanout(topic, &flow_, counters_.pubsub);
   if (fanout.begin_catch_up(sid)) pubsub_send_tail(relay, ch, sid);
 }
 
@@ -1617,16 +1322,15 @@ void UpdateEngine::meter_subscriptions() {
   if (!pubsub_active_ || !flow_.enabled()) return;
   // Registration is control traffic from subscriber to relay, metered like
   // tree maintenance (no uplink or latency modeled — subscriptions are
-  // established before the run starts). Runs once from prepare_events, on
-  // the driver thread, so the cross-lane meter writes are safe.
+  // established before the run starts). Runs once from prepare().
   for (NodeId node = kProviderNode;
        node < static_cast<NodeId>(servers_.size()); ++node) {
     const NodeTopics& t = topics_[static_cast<std::size_t>(node + 1)];
     const auto register_subs = [&](const pubsub::Topic& topic) {
       for (const pubsub::Subscriber& s : topic.subscribers()) {
-        meter_of(s.node).record(net::MessageKind::kSubscribe, s.node,
-                                nodes_->distance_km(s.node, node),
-                                config_.light_packet_kb);
+        meter_.record(net::MessageKind::kSubscribe, s.node,
+                      nodes_->distance_km(s.node, node),
+                      config_.light_packet_kb);
       }
     };
     register_subs(t.content);
@@ -1642,20 +1346,16 @@ void UpdateEngine::on_provider_update(Version v) {
 // Parent-side request handling
 // ---------------------------------------------------------------------------
 
-void UpdateEngine::handle_poll_at_parent(NodeId parent, NodeId child,
-                                         Version child_version_sent) {
-  obs::ProfileScope scope(event_profiler_, ps_poll_);
+void UpdateEngine::handle_poll_at_parent(NodeId parent, NodeId child) {
+  obs::ProfileScope scope(profiler_, ps_poll_);
   ServerState& child_state = *servers_[static_cast<std::size_t>(child)];
-  // Classic engines compare against the child's live version (an
-  // idealization — the request does not carry it — that the golden pins
-  // depend on). Sharded engines use the version the request was sent with:
-  // the child's state may move concurrently on another lane.
-  const Version child_version =
-      sharded_ ? child_version_sent : version_of(child_state.id);
+  // Compares against the child's live version (an idealization — the
+  // request does not carry it — that the golden pins depend on).
+  const Version child_version = version_of(child_state.id);
   Version v;
   if (parent == kProviderNode) {
     // Origin staleness (Section 3.4.2) is visible to pollers.
-    v = provider_->served_version_at(sim_of(parent).now());
+    v = provider_->served_version_at(sim_->now());
   } else {
     v = version_of(parent);
   }
@@ -1668,7 +1368,7 @@ void UpdateEngine::handle_poll_at_parent(NodeId parent, NodeId child,
 }
 
 void UpdateEngine::handle_fetch_at_parent(NodeId parent, NodeId child) {
-  obs::ProfileScope scope(event_profiler_, ps_fetch_);
+  obs::ProfileScope scope(profiler_, ps_fetch_);
   SubscriptionState& subs = subs_of(parent);
   if (infra_.method_of(child) == UpdateMethod::kRateAdaptive) {
     // Rate-adaptive children stay subscribed across fetches; clearing the
@@ -1695,7 +1395,7 @@ void UpdateEngine::handle_fetch_at_parent(NodeId parent, NodeId child) {
 }
 
 void UpdateEngine::answer_fetch(NodeId parent, NodeId child) {
-  obs::ProfileScope scope(event_profiler_, ps_fetch_);
+  obs::ProfileScope scope(profiler_, ps_fetch_);
   const Version v = node_version(parent);
   ServerState& child_state = *servers_[static_cast<std::size_t>(child)];
   send(parent, child, net::MessageKind::kFetchResponse, config_.update_packet_kb,
@@ -1709,7 +1409,7 @@ void UpdateEngine::answer_fetch(NodeId parent, NodeId child) {
 sim::SimTime UpdateEngine::current_ttl(const ServerState& s) const {
   if (s.method == UpdateMethod::kAdaptiveTtl) {
     const double age =
-        std::max(0.0, sim_of(s.id).now() - s.last_known_update_time);
+        std::max(0.0, sim_->now() - s.last_known_update_time);
     return std::clamp(config_.method.adaptive_factor * age,
                       config_.method.adaptive_min_ttl_s,
                       config_.method.adaptive_max_ttl_s);
@@ -1721,18 +1421,17 @@ void UpdateEngine::start_server(ServerState& s) {
   if (!uses_polling(s.method)) return;
   ServerState* sp = &s;
   s.poll_timer = std::make_unique<sim::PeriodicTimer>(
-      sim_of(s.id), config_.method.server_ttl_s, [this, sp] { poll_tick(*sp); },
+      *sim_, config_.method.server_ttl_s, [this, sp] { poll_tick(*sp); },
       kTagPollTick);
-  s.poll_timer->attach_profiler(event_profiler_, ps_timer_);
+  s.poll_timer->attach_profiler(profiler_, ps_timer_);
   // Servers start with uniformly random phase in [0, TTL) — the paper's
-  // assumption behind E[I] = TTL/2 (Section 3.4.1). Prepare-phase draw:
-  // always from the engine RNG, so the stream prefix is shard-invariant.
+  // assumption behind E[I] = TTL/2 (Section 3.4.1).
   s.poll_timer->start_after(rng_.uniform(0.0, config_.method.server_ttl_s));
   if (s.method == UpdateMethod::kRateAdaptive) {
     s.adapt_timer = std::make_unique<sim::PeriodicTimer>(
-        sim_of(s.id), config_.method.rate_window_s,
+        *sim_, config_.method.rate_window_s,
         [this, sp] { rate_adapt_tick(*sp); }, kTagAdaptTick);
-    s.adapt_timer->attach_profiler(event_profiler_, ps_timer_);
+    s.adapt_timer->attach_profiler(profiler_, ps_timer_);
     s.adapt_timer->start();
   }
 }
@@ -1742,7 +1441,7 @@ void UpdateEngine::start_server(ServerState& s) {
 /// cheaper mode — TTL polling when visitors keep pace with updates,
 /// invalidation subscription otherwise.
 void UpdateEngine::rate_adapt_tick(ServerState& s) {
-  if (sim_of(s.id).now() >= end_time_) {
+  if (sim_->now() >= end_time_) {
     s.adapt_timer->stop();
     return;
   }
@@ -1768,13 +1467,13 @@ void UpdateEngine::rate_adapt_tick(ServerState& s) {
 /// Leaves invalidation mode: notifies the parent (unsubscribe), resumes the
 /// poll timer, and repairs any known staleness immediately.
 void UpdateEngine::switch_to_ttl_mode(ServerState& s) {
-  obs::ProfileScope scope(event_profiler_, ps_mode_switch_);
+  obs::ProfileScope scope(profiler_, ps_mode_switch_);
   catch_up_visits(s);
   s.sa_in_invalidation_mode = false;
-  ++counters_of(s.id).mode_switches;
+  ++counters_.mode_switches;
   if (config_.record_trace_events) {
     trace_.instant("switch_to_ttl", std::string(to_string(s.method)),
-                   sim_of(s.id).now(), s.id);
+                   sim_->now(), s.id);
   }
   const NodeId parent = infra_.parent_of(s.id);
   const NodeId self = s.id;
@@ -1784,15 +1483,15 @@ void UpdateEngine::switch_to_ttl_mode(ServerState& s) {
          subs.subscribers.erase(self);
          subs.notified.erase(self);
        });
-  if (s.poll_timer) s.poll_timer->start_after(rng_of(s.id).uniform(
+  if (s.poll_timer) s.poll_timer->start_after(rng_.uniform(
       0.0, config_.method.server_ttl_s));
   if (s.invalid_known > version_of(s.id) && !s.fetch_in_flight) begin_fetch(s);
   resync_visits(s);
 }
 
 void UpdateEngine::poll_tick(ServerState& s) {
-  obs::ProfileScope scope(event_profiler_, ps_poll_);
-  if (sim_of(s.id).now() >= end_time_) {
+  obs::ProfileScope scope(profiler_, ps_poll_);
+  if (sim_->now() >= end_time_) {
     s.poll_timer->stop();
     return;
   }
@@ -1800,19 +1499,16 @@ void UpdateEngine::poll_tick(ServerState& s) {
     s.poll_timer->set_period(current_ttl(s));
   }
   if (s.departed) return;                      // crashed: no activity at all
-  if (s.absent_at(sim_of(s.id).now())) return;  // overloaded: poll skipped
-  ++counters_of(s.id).polls[method_index(s.method)];
+  if (s.absent_at(sim_->now())) return;  // overloaded: poll skipped
+  ++counters_.polls[method_index(s.method)];
   const NodeId parent = infra_.parent_of(s.id);
   const NodeId self = s.id;
-  const Version vsent = version_of(s.id);
   send(self, parent, net::MessageKind::kPollRequest, config_.light_packet_kb,
-       [this, parent, self, vsent] {
-         handle_poll_at_parent(parent, self, vsent);
-       });
+       [this, parent, self] { handle_poll_at_parent(parent, self); });
 }
 
 void UpdateEngine::on_poll_response(ServerState& s, Version v, bool fresh) {
-  obs::ProfileScope scope(event_profiler_, ps_poll_);
+  obs::ProfileScope scope(profiler_, ps_poll_);
   if (fresh) {
     acquire_version(s, v);
     return;
@@ -1824,32 +1520,29 @@ void UpdateEngine::on_poll_response(ServerState& s, Version v, bool fresh) {
 }
 
 void UpdateEngine::switch_to_invalidation_mode(ServerState& s) {
-  obs::ProfileScope scope(event_profiler_, ps_mode_switch_);
+  obs::ProfileScope scope(profiler_, ps_mode_switch_);
   catch_up_visits(s);
   s.sa_in_invalidation_mode = true;
-  ++counters_of(s.id).mode_switches;
+  ++counters_.mode_switches;
   if (config_.record_trace_events) {
     trace_.instant("switch_to_invalidation", std::string(to_string(s.method)),
-                   sim_of(s.id).now(), s.id);
+                   sim_->now(), s.id);
   }
   if (s.poll_timer) s.poll_timer->stop();
   const NodeId parent = infra_.parent_of(s.id);
   const NodeId self = s.id;
-  const Version vsent = version_of(s.id);
   send(self, parent, net::MessageKind::kSwitchNotice, config_.light_packet_kb,
-       [this, parent, self, vsent] {
+       [this, parent, self] {
          SubscriptionState& subs = subs_of(parent);
          subs.subscribers.insert(self);
          subs.notified.erase(self);
          // If the parent is already ahead of the child, the child missed an
          // update that happened during its last TTL window; notify at once
-         // so the next visit repairs it. Classic engines compare the
-         // child's live version (the old idealization the golden pins
-         // depend on); sharded ones use the version the notice carried.
+         // so the next visit repairs it. Compares the child's live version
+         // (the idealization the golden pins depend on).
          ServerState& child = *servers_[static_cast<std::size_t>(self)];
-         const Version child_version = sharded_ ? vsent : version_of(self);
          const Version pv = node_version(parent);
-         if (pv > child_version) {
+         if (pv > version_of(self)) {
            subs.notified.insert(self);
            send(parent, self, net::MessageKind::kInvalidation,
                 config_.light_packet_kb,
@@ -1860,11 +1553,11 @@ void UpdateEngine::switch_to_invalidation_mode(ServerState& s) {
 }
 
 void UpdateEngine::on_invalidation(ServerState& s, Version v) {
-  obs::ProfileScope scope(event_profiler_, ps_invalidate_);
+  obs::ProfileScope scope(profiler_, ps_invalidate_);
   // Visits before this notice saw valid content: flush them before the
   // server turns blocked.
   catch_up_visits(s);
-  ++counters_of(s.id).invalidations[method_index(s.method)];
+  ++counters_.invalidations[method_index(s.method)];
   s.invalid_known = std::max(s.invalid_known, v);
   // Invalidation notices flood down to notice-receiving children (multicast
   // invalidation propagates the notice immediately, content on demand).
@@ -1873,10 +1566,10 @@ void UpdateEngine::on_invalidation(ServerState& s, Version v) {
 }
 
 void UpdateEngine::begin_fetch(ServerState& s) {
-  obs::ProfileScope scope(event_profiler_, ps_fetch_);
+  obs::ProfileScope scope(profiler_, ps_fetch_);
   CDNSIM_EXPECTS(!s.fetch_in_flight, "fetch already in flight");
   s.fetch_in_flight = true;
-  ++counters_of(s.id).fetches[method_index(s.method)];
+  ++counters_.fetches[method_index(s.method)];
   issue_fetch_request(s);
   // Fetch is a request/response RPC: the requester guards the whole exchange
   // (a lost kFetchRequest has no sender-side ack to trigger retransmission).
@@ -1899,8 +1592,7 @@ void UpdateEngine::arm_fetch_guard(ServerState& s, int attempt) {
       2.0 * config_.reliable.ack_timeout_s *
       std::pow(config_.reliable.backoff_factor, attempt);
   ServerState* sp = &s;
-  sim_of(s.id).at(sim_of(s.id).now() + deadline, kTagRetry,
-                  [this, sp, epoch, attempt] {
+  sim_->at(sim_->now() + deadline, kTagRetry, [this, sp, epoch, attempt] {
     ServerState& srv = *sp;
     if (srv.fetch_epoch != epoch || !srv.fetch_in_flight || srv.departed) {
       return;
@@ -1909,15 +1601,15 @@ void UpdateEngine::arm_fetch_guard(ServerState& s, int attempt) {
       give_up_fetch(srv);
       return;
     }
-    ++counters_of(srv.id).reliable_retries;
+    ++counters_.reliable_retries;
     issue_fetch_request(srv);
     arm_fetch_guard(srv, attempt + 1);
   });
 }
 
 void UpdateEngine::give_up_fetch(ServerState& s) {
-  ++counters_of(s.id).reliable_give_ups;
-  const sim::SimTime now = sim_of(s.id).now();
+  ++counters_.reliable_give_ups;
+  const sim::SimTime now = sim_->now();
   if (config_.record_trace_events) {
     trace_.instant("give_up", "fault", now, s.id);
   }
@@ -1940,7 +1632,7 @@ void UpdateEngine::give_up_fetch(ServerState& s) {
 }
 
 void UpdateEngine::on_fetch_response(ServerState& s, Version v) {
-  obs::ProfileScope scope(event_profiler_, ps_fetch_);
+  obs::ProfileScope scope(profiler_, ps_fetch_);
   s.fetch_in_flight = false;
   acquire_version(s, v);
   if (s.invalidation_active() && s.invalid_known > version_of(s.id)) {
@@ -1954,7 +1646,7 @@ void UpdateEngine::on_fetch_response(ServerState& s, Version v) {
     s.sa_in_invalidation_mode = false;
     if (s.poll_timer) s.poll_timer->start_after(config_.method.server_ttl_s);
   }
-  const sim::SimTime now = sim_of(s.id).now();
+  const sim::SimTime now = sim_->now();
   // Serve users that were waiting on this fetch.
   auto waiting = std::move(s.waiting_users);
   s.waiting_users.clear();
@@ -2050,14 +1742,14 @@ void UpdateEngine::restore_node(ServerState& s) {
 }
 
 void UpdateEngine::apply_repair(const RepairReport& report) {
-  obs::ProfileScope scope(event_profiler_, ps_repair_);
+  obs::ProfileScope scope(profiler_, ps_repair_);
   // Every caller just mutated infra_ (fail/restore re-parenting, method
   // flips, supernode promotion), so the flattened fan-out lists are stale.
   rebuild_child_lists();
   for (const RepairEdge& edge : report.new_edges) {
-    meter_of(edge.child).record(net::MessageKind::kTreeMaintenance, edge.child,
-                                nodes_->distance_km(edge.child, edge.new_parent),
-                                config_.light_packet_kb);
+    meter_.record(net::MessageKind::kTreeMaintenance, edge.child,
+                  nodes_->distance_km(edge.child, edge.new_parent),
+                  config_.light_packet_kb);
     ServerState& child = *servers_[static_cast<std::size_t>(edge.child)];
     // Re-parenting can change the child's method (and with it blockedness).
     catch_up_visits(child);
@@ -2109,18 +1801,18 @@ void UpdateEngine::ensure_polling(ServerState& s) {
   ServerState* sp = &s;
   if (!s.poll_timer) {
     s.poll_timer = std::make_unique<sim::PeriodicTimer>(
-        sim_of(s.id), config_.method.server_ttl_s, [this, sp] { poll_tick(*sp); },
+        *sim_, config_.method.server_ttl_s, [this, sp] { poll_tick(*sp); },
         kTagPollTick);
-    s.poll_timer->attach_profiler(event_profiler_, ps_timer_);
+    s.poll_timer->attach_profiler(profiler_, ps_timer_);
   }
   s.poll_timer->set_period(config_.method.server_ttl_s);
-  s.poll_timer->start_after(rng_of(s.id).uniform(0.0, config_.method.server_ttl_s));
+  s.poll_timer->start_after(rng_.uniform(0.0, config_.method.server_ttl_s));
   if (s.method == UpdateMethod::kRateAdaptive) {
     if (!s.adapt_timer) {
       s.adapt_timer = std::make_unique<sim::PeriodicTimer>(
-          sim_of(s.id), config_.method.rate_window_s,
+          *sim_, config_.method.rate_window_s,
           [this, sp] { rate_adapt_tick(*sp); }, kTagAdaptTick);
-      s.adapt_timer->attach_profiler(event_profiler_, ps_timer_);
+      s.adapt_timer->attach_profiler(profiler_, ps_timer_);
     }
     if (!s.adapt_timer->running()) s.adapt_timer->start();
   }
@@ -2162,7 +1854,7 @@ void UpdateEngine::start_users() {
       u->visit_timer = std::make_unique<sim::PeriodicTimer>(
           *sim_, config_.user_poll_period_s, [this, up] { user_visit(*up); },
           kTagUserVisit);
-      u->visit_timer->attach_profiler(event_profiler_, ps_timer_);
+      u->visit_timer->attach_profiler(profiler_, ps_timer_);
       u->visit_timer->start_after(rng_.uniform(0.0, config_.user_start_window_s));
     }
     users_.push_back(std::move(u));
@@ -2197,12 +1889,12 @@ void UpdateEngine::user_visit(UserState& u) {
   } else if (config_.user_attachment == UserAttachment::kDnsCache) {
     target = dns_->resolve(u.id, sim_->now()).server;
   }
-  ++counters_of(target).visits;
+  ++counters_.visits;
   const bool redirected = u.last_server != -2 && target != u.last_server;
   u.last_server = target;
   ServerState& s = *servers_[static_cast<std::size_t>(target)];
   if (s.departed || s.absent_at(sim_->now())) {
-    ++counters_of(target).visits_unanswered;
+    ++counters_.visits_unanswered;
     cdn::UserObservation obs;
     obs.request_time = obs.serve_time = sim_->now();
     obs.server = target;
@@ -2227,7 +1919,7 @@ void UpdateEngine::serve_user(ServerState& s, UserState& u, sim::SimTime request
     if (!s.fetch_in_flight) begin_fetch(s);
     return;
   }
-  deliver_to_user(s, u, request_time, sim_of(s.id).now(), redirected);
+  deliver_to_user(s, u, request_time, sim_->now(), redirected);
 }
 
 void UpdateEngine::deliver_to_user(ServerState& s, UserState& u,
@@ -2264,8 +1956,8 @@ void UpdateEngine::catch_up_visits(ServerState& s) {
   // next_visit_time mirrors plan.times[visit_cursor] (+inf when exhausted
   // or unbatched), so the empty case is one comparison instead of a plan
   // chase into the walk.
-  if (!s.has_pending_visits_before(sim_of(s.id).now())) return;
-  catch_up_visits_until(s, sim_of(s.id).now());
+  if (!s.has_pending_visits_before(sim_->now())) return;
+  catch_up_visits_until(s, sim_->now());
 }
 
 // Bulk-processes the server's pending visits strictly before `upto`.
@@ -2286,7 +1978,7 @@ void UpdateEngine::catch_up_visits_until(ServerState& s, sim::SimTime upto) {
                  "bulk visit walk while the server is blocked");
   const bool rate_adaptive = s.method == UpdateMethod::kRateAdaptive;
   const bool record_logs = config_.record_user_logs;
-  LaneCounters& c = counters_of(s.id);
+  Counters& c = counters_;
   // The server's user-visible state cannot change inside one walk — every
   // caller flushes the backlog *before* mutating — so the branch structure
   // is hoisted out of the per-visit loop. Users are pinned (plan.users[i]
@@ -2377,7 +2069,7 @@ void UpdateEngine::schedule_visit_event(ServerState& s) {
   ServerState* sp = &s;
   if (s.visit_pumping) {
     // Blocked: the next visit must fire at its exact arrival time.
-    s.visit_event = sim_of(s.id).at(next, kTagUserVisit,
+    s.visit_event = sim_->at(next, kTagUserVisit,
                                     [this, sp] { pump_visit(*sp); });
     return;
   }
@@ -2386,7 +2078,7 @@ void UpdateEngine::schedule_visit_event(ServerState& s) {
   sim::SimTime boundary = (std::floor(next / epoch) + 1.0) * epoch;
   if (boundary <= next) boundary = next + epoch;
   if (boundary >= end_time_) return;  // the horizon flush covers the tail
-  s.visit_event = sim_of(s.id).at(boundary, kTagVisitBatch,
+  s.visit_event = sim_->at(boundary, kTagVisitBatch,
                                   [this, sp] { visit_batch_event(*sp); });
 }
 
@@ -2401,7 +2093,7 @@ void UpdateEngine::pump_visit(ServerState& s) {
   const trace::VisitSchedule::PerServer& plan =
       visit_plan_->servers[static_cast<std::size_t>(s.id)];
   CDNSIM_EXPECTS(s.visit_cursor < plan.times.size(), "pump past the schedule");
-  const sim::SimTime now = sim_of(s.id).now();
+  const sim::SimTime now = sim_->now();
   // Pinned attachment: batched visits never redirect, so last_server (a
   // legacy-path concern) is left untouched.
   UserState& u = *users_[plan.users[s.visit_cursor]];
@@ -2409,9 +2101,9 @@ void UpdateEngine::pump_visit(ServerState& s) {
   s.next_visit_time = s.visit_cursor < plan.times.size()
                           ? plan.times[s.visit_cursor]
                           : std::numeric_limits<sim::SimTime>::infinity();
-  ++counters_of(s.id).visits;
+  ++counters_.visits;
   if (s.departed || s.absent_at(now)) {
-    ++counters_of(s.id).visits_unanswered;
+    ++counters_.visits_unanswered;
     if (config_.record_user_logs) {
       cdn::UserObservation obs;
       obs.request_time = obs.serve_time = now;
@@ -2443,12 +2135,6 @@ void UpdateEngine::horizon_server(ServerState& s) {
 // ---------------------------------------------------------------------------
 
 void UpdateEngine::run() {
-  if (sharded_) {
-    run_sharded();
-    finish_timeseries();
-    publish_run_stats();
-    return;
-  }
   prepare();
   if (ts_ == nullptr) {
     sim_->run();
@@ -2468,290 +2154,32 @@ void UpdateEngine::run() {
 }
 
 void UpdateEngine::prepare() {
-  CDNSIM_EXPECTS(!sharded_,
-                 "sharded engines cannot share an external simulator; use run()");
   CDNSIM_EXPECTS(!ran_, "UpdateEngine may only be prepared/run once");
   ran_ = true;
 
   // Last engine prepared on a shared Simulator wins the profiler slot;
   // profiled runs use one engine per simulator (BatchRunner jobs).
   if (profiler_ != nullptr) sim_->attach_profiler(profiler_, tag_slots_);
-  prepare_events();
-}
 
-void UpdateEngine::prepare_events() {
   meter_subscriptions();
   for (auto& s : servers_) start_server(*s);
   start_users();
 
   for (Version v = 1; v <= updates_->update_count(); ++v) {
     const sim::SimTime t = updates_->update_time(v);
-    sim_of(kProviderNode).at(t, kTagProviderUpdate,
-                             [this, v] { on_provider_update(v); });
+    sim_->at(t, kTagProviderUpdate, [this, v] { on_provider_update(v); });
   }
 
   schedule_next_failure();
   schedule_brownouts();
 
   // Stop all periodic activity at the horizon; in-flight messages drain.
-  if (!sharded_) {
-    sim_->at(end_time_, kTagHorizon, [this] {
-      for (auto& s : servers_) horizon_server(*s);
-      for (auto& u : users_) {
-        if (u->visit_timer) u->visit_timer->stop();
-      }
-    });
-  } else {
-    for (std::size_t lane = 0; lane < lanes_.size(); ++lane) {
-      lanes_[lane].sim->at(end_time_, kTagHorizon, [this, lane] {
-        for (auto& s : servers_) {
-          if (lane_index_of(s->id) == lane) horizon_server(*s);
-        }
-      });
+  sim_->at(end_time_, kTagHorizon, [this] {
+    for (auto& s : servers_) horizon_server(*s);
+    for (auto& u : users_) {
+      if (u->visit_timer) u->visit_timer->stop();
     }
-  }
-}
-
-void UpdateEngine::run_sharded() {
-  CDNSIM_EXPECTS(!ran_, "UpdateEngine may only be prepared/run once");
-  ran_ = true;
-  prepare_events();
-
-  const std::size_t lane_count = lanes_.size();
-  std::size_t worker_count =
-      config_.shard.workers > 0
-          ? static_cast<std::size_t>(config_.shard.workers)
-          : std::min(lane_count, util::ThreadPool::hardware_threads());
-  worker_count = std::max<std::size_t>(1, std::min(worker_count, lane_count));
-  std::unique_ptr<util::ThreadPool> pool;
-  if (worker_count > 1) pool = std::make_unique<util::ThreadPool>(worker_count);
-
-  if (config_.shard.overlap) {
-    run_sharded_pipelined(pool.get());
-  } else {
-    run_sharded_lockstep(pool.get());
-  }
-}
-
-// Reference driver: every round fully quiesces, then the driver alone drains
-// the merge queue in global (arrival, sender, seq) order and injects. Kept
-// as the baseline the pipelined driver is equivalence-tested against.
-void UpdateEngine::run_sharded_lockstep(util::ThreadPool* pool) {
-  const std::size_t lane_count = lanes_.size();
-  const double epoch = config_.shard.epoch_s;
-  std::int64_t last_k = std::numeric_limits<std::int64_t>::min();
-  std::vector<std::exception_ptr> errors(lane_count);
-  for (;;) {
-    sim::SimTime min_next = std::numeric_limits<sim::SimTime>::infinity();
-    for (const Lane& lane : lanes_) {
-      if (!lane.sim->drained()) {
-        min_next = std::min(min_next, lane.sim->next_event_time());
-      }
-    }
-    if (!(min_next < std::numeric_limits<sim::SimTime>::infinity())) {
-      if (merge_->empty()) break;  // all lanes drained, nothing in flight
-    } else {
-      // Sample points at or before the next event are complete (everything
-      // strictly before them has fired); emit them before running further.
-      // The sequence of sample points is a function of the min_next
-      // sequence, which is decomposition-invariant.
-      if (ts_ != nullptr) {
-        while (ts_->next_sample_time() <= min_next) sample_timeseries();
-      }
-      // The barrier is the first epoch-grid point strictly after the next
-      // event, so every event fired this round lies in a single epoch cell
-      // — whose closing grid point is exactly what per-message arrival
-      // quantization computes. The backstop keeps barriers strictly
-      // monotone even if floating point misplaces a grid-aligned event.
-      std::int64_t next_k =
-          static_cast<std::int64_t>(std::floor(min_next / epoch)) + 1;
-      if (next_k <= last_k) next_k = last_k + 1;
-      sim::SimTime barrier = static_cast<double>(next_k) * epoch;
-      if (ts_ != nullptr && ts_->next_sample_time() < barrier) {
-        // Partial round up to the next sample point. Events still lie
-        // inside the same epoch cell (the sample point precedes its
-        // close), so arrival quantization is unchanged; last_k is
-        // committed only for full epoch barriers so the monotone backstop
-        // never skips a cell.
-        barrier = ts_->next_sample_time();
-      } else {
-        last_k = next_k;
-      }
-      const bool track_wall = ts_ != nullptr;
-      const auto wall_start = track_wall ? std::chrono::steady_clock::now()
-                                         : std::chrono::steady_clock::time_point();
-      if (pool) {
-        bool submitted = false;
-        for (std::size_t i = 0; i < lane_count; ++i) {
-          sim::Simulator* lane_sim = lanes_[i].sim.get();
-          if (lane_sim->drained() || !(lane_sim->next_event_time() < barrier)) {
-            continue;
-          }
-          std::exception_ptr* err = &errors[i];
-          pool->submit([lane_sim, barrier, err] {
-            try {
-              lane_sim->run_before(barrier);
-            } catch (...) {
-              *err = std::current_exception();
-            }
-          });
-          submitted = true;
-        }
-        if (submitted) pool->wait_idle();
-        for (std::exception_ptr& e : errors) {
-          if (e) std::rethrow_exception(std::exchange(e, nullptr));
-        }
-      } else {
-        for (Lane& lane : lanes_) lane.sim->run_before(barrier);
-      }
-      if (track_wall) {
-        ts_barrier_wait_ns_ += static_cast<std::uint64_t>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(
-                std::chrono::steady_clock::now() - wall_start)
-                .count());
-      }
-      update_shard_progress();
-    }
-    // Single-threaded exchange: drain every outbox in the deterministic
-    // (arrival, sender, seq) order and inject into the target lanes. Every
-    // arrival is >= the current barrier, ahead of every lane's clock.
-    obs::ProfileScope scope(profiler_, ps_shard_merge_);
-    auto messages = merge_->drain();
-    for (auto& m : messages) {
-      lanes_[m.target_lane].sim->at(m.arrival, m.tag, std::move(m.action));
-    }
-  }
-  // One closing row strictly after the last event (the per-round clamp
-  // keeps the grid caught up, so exactly one is pending at exit).
-  if (ts_ != nullptr) sample_timeseries();
-}
-
-// Overlapped driver: cross-lane messages ride the double-buffered staging
-// generations, so each round's injection (read generation, per-target
-// columns) happens on the *worker* threads, concurrently with lane
-// execution, instead of serializing on the driver. Equivalence with the
-// lockstep driver rests on two facts: (1) the barrier fold below takes the
-// staged minimum into account, so the barrier sequence equals lockstep's
-// post-injection one; (2) each target's sorted column is a subsequence of
-// the global (arrival, sender, seq) sort, so per-lane injection order
-// matches what a global drain would have handed that lane.
-void UpdateEngine::run_sharded_pipelined(util::ThreadPool* pool) {
-  const std::size_t lane_count = lanes_.size();
-  const double epoch = config_.shard.epoch_s;
-  std::int64_t last_k = std::numeric_limits<std::int64_t>::min();
-  std::vector<std::exception_ptr> errors(lane_count);
-  sim::ShardMergeQueue* merge = merge_.get();
-  for (;;) {
-    // Fold the staged (not-yet-injected) messages into the next-event
-    // minimum: a lockstep driver would have injected them before picking
-    // its barrier, and every staged arrival sits on the epoch grid ahead
-    // of all lane clocks, so the fold is exactly its post-injection view.
-    sim::SimTime min_next = std::numeric_limits<sim::SimTime>::infinity();
-    for (const Lane& lane : lanes_) {
-      if (!lane.sim->drained()) {
-        min_next = std::min(min_next, lane.sim->next_event_time());
-      }
-    }
-    min_next = std::min(min_next, merge->min_staged_arrival());
-    if (!(min_next < std::numeric_limits<sim::SimTime>::infinity())) break;
-    // Emit complete sample points before running further (see the lockstep
-    // driver). Staged messages are future events — their arrivals sit on
-    // the epoch grid at or after min_next — so they are correctly outside
-    // the sampled prefix.
-    if (ts_ != nullptr) {
-      while (ts_->next_sample_time() <= min_next) sample_timeseries();
-    }
-    std::int64_t next_k =
-        static_cast<std::int64_t>(std::floor(min_next / epoch)) + 1;
-    if (next_k <= last_k) next_k = last_k + 1;
-    sim::SimTime barrier = static_cast<double>(next_k) * epoch;
-    if (ts_ != nullptr && ts_->next_sample_time() < barrier) {
-      // Partial round up to the sample point; last_k is committed only for
-      // full epoch barriers (see the lockstep driver).
-      barrier = ts_->next_sample_time();
-    } else {
-      last_k = next_k;
-    }
-    {
-      // Same once-per-round scope the lockstep drain records, so the
-      // deterministic profile section stays invariant across drivers.
-      obs::ProfileScope scope(profiler_, ps_shard_merge_);
-      merge->flip();
-    }
-    update_shard_progress();
-    const bool track_wall = ts_ != nullptr;
-    const auto wall_start = track_wall ? std::chrono::steady_clock::now()
-                                       : std::chrono::steady_clock::time_point();
-    if (pool) {
-      bool submitted = false;
-      for (std::size_t i = 0; i < lane_count; ++i) {
-        sim::Simulator* lane_sim = lanes_[i].sim.get();
-        const bool has_incoming = merge->incoming_count(i) > 0;
-        const bool has_local =
-            !lane_sim->drained() && lane_sim->next_event_time() < barrier;
-        // Every non-empty column must be consumed this round (flip()
-        // precondition), even if nothing then runs before the barrier.
-        if (!has_incoming && !has_local) continue;
-        std::exception_ptr* err = &errors[i];
-        pool->submit([lane_sim, merge, barrier, err, i] {
-          try {
-            auto incoming = merge->take_incoming(i);
-            for (auto& m : incoming) {
-              lane_sim->at(m.arrival, m.tag, std::move(m.action));
-            }
-            lane_sim->run_before(barrier);
-          } catch (...) {
-            *err = std::current_exception();
-          }
-        });
-        submitted = true;
-      }
-      if (submitted) pool->wait_idle();
-      for (std::exception_ptr& e : errors) {
-        if (e) std::rethrow_exception(std::exchange(e, nullptr));
-      }
-    } else {
-      for (std::size_t i = 0; i < lane_count; ++i) {
-        sim::Simulator* lane_sim = lanes_[i].sim.get();
-        const bool has_incoming = merge->incoming_count(i) > 0;
-        const bool has_local =
-            !lane_sim->drained() && lane_sim->next_event_time() < barrier;
-        if (!has_incoming && !has_local) continue;
-        auto incoming = merge->take_incoming(i);
-        for (auto& m : incoming) {
-          lane_sim->at(m.arrival, m.tag, std::move(m.action));
-        }
-        lane_sim->run_before(barrier);
-      }
-    }
-    if (track_wall) {
-      ts_barrier_wait_ns_ += static_cast<std::uint64_t>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(
-              std::chrono::steady_clock::now() - wall_start)
-              .count());
-    }
-  }
-  // One closing row strictly after the last event (see the lockstep
-  // driver).
-  if (ts_ != nullptr) sample_timeseries();
-}
-
-std::uint64_t UpdateEngine::events_processed() const {
-  if (!sharded_) return sim_->events_processed();
-  std::uint64_t total = 0;
-  for (const Lane& lane : lanes_) total += lane.sim->events_processed();
-  // The horizon flush is one logical event scheduled once per lane; count
-  // it once so the total is independent of the lane decomposition
-  // (byte-identical metrics across shard counts).
-  const std::uint64_t surplus = lanes_.size() - 1;
-  return total - std::min(total, surplus);
-}
-
-sim::SimTime UpdateEngine::final_time() const {
-  if (!sharded_) return sim_->now();
-  sim::SimTime t = 0;
-  for (const Lane& lane : lanes_) t = std::max(t, lane.sim->now());
-  return t;
+  });
 }
 
 // ---------------------------------------------------------------------------

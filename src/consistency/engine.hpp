@@ -23,20 +23,20 @@
 // queueing — the scalability mechanism of Figs. 19-20) and the latency
 // model, and are accounted by the TrafficMeter.
 //
-// Execution modes (DESIGN.md "Batched visits and intra-run sharding"):
-//  * batched visits (default for the pinned attachment): user arrivals are
-//    precomputed into per-server SoA arrays (trace::VisitSchedule) and
-//    walked in bulk — one batch event per server per epoch plus a catch-up
-//    at every server state change — instead of one event per visit. The
-//    walk is observationally identical to the per-visit path; only the
-//    sim.event* gauges (event counts) change.
-//  * intra-run sharding (shard.shards > 0): servers are partitioned into
-//    contiguous lanes, each lane an independent Simulator driven by a
-//    ThreadPool worker; every network message crosses lanes through an
-//    epoch-quantized ShardMergeQueue, and per-node RNG substreams replace
-//    the engine-global draw stream. Output is byte-identical for any shard
-//    or worker count (but not to the unsharded engine, whose message
-//    arrivals are not epoch-quantized).
+// Execution: one exact discrete-event driver. Every event of a run — message
+// deliveries, timers, visits, churn, time-series sample points — fires on
+// the one Simulator passed in, at its exact sim time, and every random draw
+// comes from the engine's own seeded streams. Observability (trace events, the profiler, time
+// series) rides that same run and never changes its result. Parallelism is
+// across runs (core::BatchRunner jobs, catalog object lanes), never inside
+// one.
+//
+// Batched visits (DESIGN.md "Batched user visits", default for the pinned
+// attachment): user arrivals are precomputed into per-server SoA arrays
+// (trace::VisitSchedule) and walked in bulk — one batch event per server
+// per epoch plus a catch-up at every server state change — instead of one
+// event per visit. The walk is observationally identical to the per-visit
+// path; only the sim.event* gauges (event counts) change.
 #pragma once
 
 #include <array>
@@ -67,14 +67,8 @@
 #include "trace/poll_log.hpp"
 #include "util/rng.hpp"
 
-namespace cdnsim::sim {
-class ShardMergeQueue;
-}
 namespace cdnsim::trace {
 struct VisitSchedule;
-}
-namespace cdnsim::util {
-class ThreadPool;
 }
 
 namespace cdnsim::consistency {
@@ -125,38 +119,6 @@ struct EngineConfig {
   /// flushed at every server state change and at the horizon regardless,
   /// so any value > 0 yields identical output.
   sim::SimTime visit_batch_epoch_s = 20.0;
-
-  /// Intra-run sharding: partition servers into `shards` contiguous groups
-  /// ("lanes"), each driven as an independent event stream on a ThreadPool
-  /// worker, with cross-lane messages exchanged through an epoch-barrier
-  /// merge queue. Requires batched visits with the pinned attachment and
-  /// no churn / poll log / trace events / shared provider uplink.
-  struct ShardConfig {
-    /// `shards = kAuto`: pick the lane count from the server count and the
-    /// hardware thread count (see resolved_shard_count), falling back to
-    /// classic execution when the configuration does not support sharding.
-    static constexpr int kAuto = -1;
-    /// > 0 enables sharding with this many lanes (clamped to the server
-    /// count); kAuto picks a lane count automatically; 0 disables.
-    /// Output is byte-identical for any supported positive value, and an
-    /// auto-resolved engine is byte-identical to `shards = 1`.
-    int shards = 0;
-    /// Barrier pitch (s): every cross-lane message arrives at the first
-    /// epoch-grid point after its send time or its network arrival,
-    /// whichever is later.
-    sim::SimTime epoch_s = 0.25;
-    /// Worker threads driving the lanes; 0 = min(shards, hardware).
-    /// Output is byte-identical for any value.
-    int workers = 0;
-    /// Overlapped epoch pipeline (default): each lane injects its own
-    /// incoming cross-lane messages from the previous epoch at the start of
-    /// its round, so merge work for epoch k overlaps lane execution of
-    /// epoch k+1. false = lockstep driver (lanes idle while the driver
-    /// drains the merge queue serially). Byte-identical either way; the
-    /// lockstep mode exists as the equivalence-test reference.
-    bool overlap = true;
-  };
-  ShardConfig shard;
 
   /// Shift applied to all trace update times (the paper starts updates at
   /// t = 60 s, after users began visiting).
@@ -250,9 +212,7 @@ struct EngineConfig {
   /// shared between jobs). When set, prepare() attaches it to the Simulator
   /// with the engine's event-tag table and every engine phase opens a
   /// ProfileScope. When null — the default — the only residue is one
-  /// null-check per phase entry (the zero-cost contract). Sharded runs
-  /// profile only driver-thread phases (tree build, shard.merge): the
-  /// single-threaded Profiler must not be shared with lane workers.
+  /// null-check per phase entry (the zero-cost contract).
   obs::Profiler* profiler = nullptr;
 
   /// Time-resolved telemetry (DESIGN.md "Time-resolved telemetry"). When
@@ -261,41 +221,12 @@ struct EngineConfig {
   /// row per sample_s of sim time — consistency state, engine/fault/
   /// reliable counter deltas, per-MessageKind traffic, uplink backlog —
   /// plus per-update propagation spans. Sampling rides the sim-time grid
-  /// (classic: run_before per grid point; sharded: samples interleave with
-  /// the epoch barriers), so the deterministic section is byte-identical
-  /// across shard and worker counts. Unlike the profiler, time series do
-  /// NOT force classic execution. When null — the default — the only
-  /// residue is one null-check in acquire_version (span hook).
+  /// (run_before per grid point), so it observes the run without changing
+  /// it. When null — the default — the only residue is one null-check in
+  /// acquire_version (span hook).
   double timeseries_sample_s = 0;
   obs::TimeSeries* timeseries = nullptr;
-
-  /// Live per-lane progress sink for the batch heartbeat (borrowed; may be
-  /// shared with a reader thread — all slots are relaxed atomics). Sharded
-  /// runs update it once per barrier round; host-only, never part of any
-  /// artifact's deterministic section.
-  obs::ShardProgress* shard_progress = nullptr;
 };
-
-/// Config-level sharding support check, shared by the auto resolution and
-/// the benches' flag wiring: true when `config` satisfies the sharded
-/// constructor preconditions (batched pinned visits, no poll log / trace
-/// events / churn) and is not profiled (a profiled run stays classic so the
-/// event-tag scopes remain attributable).
-bool shard_supported(const EngineConfig& config);
-
-/// Number of lanes an engine constructed with `config` over `server_count`
-/// servers will use: 0 = classic unsharded execution, >= 1 = sharded with
-/// that many lanes. Explicit `shard.shards > 0` is clamped to the server
-/// count; `ShardConfig::kAuto` resolves to min(hardware threads, servers /
-/// per-lane floor), floored at one lane, when the configuration supports
-/// sharding (see shard_supported) and to 0 when it does not — so an
-/// auto-configured bench degrades to classic execution instead of tripping
-/// the sharding preconditions, while a supported auto config always stays
-/// on the sharded driver (classic has different message timing, and auto
-/// must stay byte-identical to every explicit count). `hardware_threads =
-/// 0` means detect; pass a value explicitly for deterministic tests.
-int resolved_shard_count(const EngineConfig& config, std::size_t server_count,
-                         std::size_t hardware_threads = 0);
 
 class UpdateEngine {
  public:
@@ -315,12 +246,10 @@ class UpdateEngine {
 
   /// Schedules all initial events without running the simulator — used to
   /// co-schedule several engines (contents) on one Simulator; call
-  /// Simulator::run() afterwards. Not available for sharded engines, whose
-  /// event streams live on internal per-lane simulators.
+  /// Simulator::run() afterwards.
   void prepare();
 
-  /// prepare() + run the simulation to completion. Sharded engines run
-  /// their lanes here (on a ThreadPool when shard.workers != 1).
+  /// prepare() + run the simulation to completion.
   void run();
 
   // --- results (valid after run()) ---
@@ -332,13 +261,10 @@ class UpdateEngine {
   std::size_t user_count() const { return users_.size(); }
   sim::SimTime end_time() const { return end_time_; }
 
-  /// Total events fired — the external Simulator's count for classic
-  /// engines, the sum over lanes for sharded ones.
-  std::uint64_t events_processed() const;
-  /// Clock position after the run: Simulator::now() for classic engines,
-  /// the max over lanes (i.e. the time of the globally last event) for
-  /// sharded ones.
-  sim::SimTime final_time() const;
+  /// Total events fired on the engine's Simulator.
+  std::uint64_t events_processed() const { return sim_->events_processed(); }
+  /// Clock position after the run (the time of the last event).
+  sim::SimTime final_time() const { return sim_->now(); }
 
   /// Per-server average inconsistency (Figs. 14a/15a/19/20).
   std::vector<double> server_avg_inconsistency() const;
@@ -357,17 +283,17 @@ class UpdateEngine {
   std::size_t failures_injected() const { return failures_injected_; }
 
   /// The engine's metric registry. Populated by publish_run_stats():
-  /// counters and the inconsistency histogram accumulate per lane / per
-  /// server during the run and are folded in deterministically, then the
-  /// end-of-run gauges (simulator queue stats, traffic totals, provider
-  /// uplink) are set. run() publishes automatically; engines co-scheduled
+  /// counters and the per-server inconsistency histograms accumulate during
+  /// the run and are folded in deterministically, then the end-of-run
+  /// gauges (simulator queue stats, traffic totals, provider uplink) are
+  /// set. run() publishes automatically; engines co-scheduled
   /// via prepare() + external Simulator::run() must call
   /// publish_run_stats() themselves before reading this.
   const obs::MetricsRegistry& metrics() const { return metrics_; }
   /// Recorded trace events (empty unless config.record_trace_events).
   const obs::TraceRecorder& trace_events() const { return trace_; }
-  /// Folds lane counters/meters and copies simulator/meter/uplink
-  /// end-of-run totals into metrics(). Idempotent; called by run().
+  /// Folds the run counters and copies simulator/meter/uplink end-of-run
+  /// totals into metrics(). Idempotent; called by run().
   void publish_run_stats();
 
  private:
@@ -376,11 +302,10 @@ class UpdateEngine {
   struct ReliableState;
   struct FanoutBatch;
 
-  /// Plain per-lane counter mirror of the registry counters. Each lane
-  /// accumulates its own copy (single-writer under sharding) and
-  /// fold_lane_stats() sums them into metrics_ — integer adds, so the fold
-  /// is exact and order-independent.
-  struct LaneCounters {
+  /// Plain counter mirror of the registry counters, accumulated during the
+  /// run (an integer add per event instead of a registry lookup) and folded
+  /// into metrics_ once by fold_stats().
+  struct Counters {
     std::array<std::uint64_t, kUpdateMethodCount> acquired{};
     std::array<std::uint64_t, kUpdateMethodCount> polls{};
     std::array<std::uint64_t, kUpdateMethodCount> fetches{};
@@ -394,41 +319,8 @@ class UpdateEngine {
     std::uint64_t fault_brownouts = 0;
     std::uint64_t reliable_retries = 0;
     std::uint64_t reliable_give_ups = 0;
-    /// Pub/sub walker counters (single-writer: a relay's topics are only
-    /// touched by events on the relay's own lane).
-    pubsub::FanoutStats pubsub;
+    pubsub::FanoutStats pubsub;  // pub/sub walker counters
   };
-
-  /// One execution context. Classic engines have exactly one lane whose
-  /// `sim` is null (the external simulator is used); sharded engines own
-  /// one internal Simulator per lane. Cache-line aligned: counters and
-  /// meters are written concurrently by different workers.
-  struct alignas(64) Lane {
-    std::unique_ptr<sim::Simulator> sim;
-    net::TrafficMeter meter;
-    LaneCounters counters;
-    obs::SpanBuffer spans;  // propagation-span applies (single-writer)
-  };
-
-  /// Sums every lane's counters (exact integer adds, order-independent).
-  /// Shared by fold_lane_stats() and sample_timeseries().
-  LaneCounters sum_lane_counters() const;
-
-  // lane anchoring: every helper resolves through the node that owns the
-  // execution context, so sharded handlers always touch their own lane.
-  std::size_t lane_index_of(topology::NodeId node) const {
-    return lane_of_[static_cast<std::size_t>(node + 1)];
-  }
-  sim::Simulator& sim_of(topology::NodeId node);
-  const sim::Simulator& sim_of(topology::NodeId node) const;
-  util::Rng& rng_of(topology::NodeId node);
-  fault::Injector* injector_of(topology::NodeId node);
-  net::TrafficMeter& meter_of(topology::NodeId node) {
-    return lanes_[sharded_ ? lane_index_of(node) : 0].meter;
-  }
-  LaneCounters& counters_of(topology::NodeId node) {
-    return lanes_[sharded_ ? lane_index_of(node) : 0].counters;
-  }
 
   // message transport
   void send(topology::NodeId from, topology::NodeId to, net::MessageKind kind,
@@ -436,16 +328,10 @@ class UpdateEngine {
   void send_unreliable(topology::NodeId from, topology::NodeId to,
                        net::MessageKind kind, double size_kb,
                        sim::EventAction on_delivery);
-  void schedule_delivery(topology::NodeId from, topology::NodeId to,
-                         net::MessageKind kind, sim::SimTime arrival,
-                         sim::EventAction action);
-  /// First epoch-grid point strictly after `now` (sharded engines only).
-  sim::SimTime shard_barrier(sim::SimTime now) const;
-  /// schedule_delivery after arrival quantization: absence deferral,
-  /// departed guard, merge-queue emission / direct scheduling.
-  void deliver_at(topology::NodeId from, topology::NodeId to,
-                  net::MessageKind kind, sim::SimTime arrival,
-                  sim::EventAction action);
+  /// Schedules a delivery at `arrival`: absence deferral and the departed
+  /// guard for server destinations.
+  void deliver_at(topology::NodeId to, net::MessageKind kind,
+                  sim::SimTime arrival, sim::EventAction action);
   sim::SimTime draw_latency(topology::NodeId from, topology::NodeId to);
   net::Uplink& uplink_of(topology::NodeId node);
   const net::GeoPoint& location_of(topology::NodeId node) const;
@@ -459,8 +345,7 @@ class UpdateEngine {
   void send_ack(const std::shared_ptr<ReliableState>& st);
 
   // fault injection
-  void record_injected_drop(bool partitioned, topology::NodeId from,
-                            topology::NodeId to);
+  void record_injected_drop(bool partitioned, topology::NodeId to);
   void schedule_brownouts();
 
   // version bookkeeping. Server versions live in a flat per-server table
@@ -512,7 +397,7 @@ class UpdateEngine {
                        bool catch_up, FanoutBatch* batch);
   /// Confirmation (ok) / loss verdict (!ok) of a flow-controlled
   /// transmission; may trigger an immediate catch-up tail or arm a
-  /// deferred one. Runs on the relay's lane.
+  /// deferred one.
   void pubsub_settle(topology::NodeId relay, PubsubChannel ch,
                      pubsub::SubscriberId sid, trace::Version v, bool ok,
                      bool catch_up, std::uint64_t generation);
@@ -531,8 +416,7 @@ class UpdateEngine {
 
   // provider side
   void on_provider_update(trace::Version v);
-  void handle_poll_at_parent(topology::NodeId parent, topology::NodeId child,
-                             trace::Version child_version);
+  void handle_poll_at_parent(topology::NodeId parent, topology::NodeId child);
   void handle_fetch_at_parent(topology::NodeId parent, topology::NodeId child);
   void answer_fetch(topology::NodeId parent, topology::NodeId child);
 
@@ -554,17 +438,14 @@ class UpdateEngine {
   // observability
   void bind_metrics();
   void bind_profiler();
-  void fold_lane_stats();
+  void fold_stats();
   // Time series: column binding (constructor), one sample at
   // ts_->next_sample_time() covering events strictly before it, and the
-  // end-of-run span fold. See the "Run" drivers for where samples
-  // interleave with execution.
+  // end-of-run span fold. See run() for where samples interleave with
+  // execution.
   void bind_timeseries();
   void sample_timeseries();
   void finish_timeseries();
-  // Refreshes config_.shard_progress from the quiesced lanes (driver
-  // thread, relaxed stores; host-only heartbeat data).
-  void update_shard_progress();
   // Expands the bulk walk's run-length visit records into per-user
   // UserObservation rows (merged by request time with directly-added
   // rows); runs once from publish_run_stats(), no-op in legacy mode.
@@ -600,12 +481,6 @@ class UpdateEngine {
   void pump_visit(ServerState& s);
   void horizon_server(ServerState& s);
 
-  // run drivers
-  void prepare_events();
-  void run_sharded();
-  void run_sharded_lockstep(util::ThreadPool* pool);
-  void run_sharded_pipelined(util::ThreadPool* pool);
-
   /// Parent-side subscription bookkeeping for self-adaptive children
   /// (which children are in invalidation mode, and which were already sent
   /// the aggregated notice since subscribing).
@@ -624,14 +499,13 @@ class UpdateEngine {
   std::unique_ptr<fault::Injector> injector_;
   Infrastructure infra_;
   net::LatencyModel latency_;
-  net::TrafficMeter meter_;  // fold target; lanes meter during the run
+  net::TrafficMeter meter_;
   std::unique_ptr<cdn::Provider> provider_;
   std::unique_ptr<cdn::DnsSystem> dns_;
   net::Uplink provider_uplink_;
   net::Uplink* shared_provider_uplink_ = nullptr;
   std::vector<std::unique_ptr<ServerState>> servers_;
-  /// Flat per-server version table (index = server id). Single-writer under
-  /// sharding: only the owning lane writes a server's slot.
+  /// Flat per-server version table (index = server id).
   std::vector<trace::Version> versions_;
   /// Per-node child lists partitioned by delivery role (index = node id +
   /// 1): `push` holds kPush children and `notice` the notice-receiving ones
@@ -663,24 +537,15 @@ class UpdateEngine {
   std::size_t failures_injected_ = 0;
   bool ran_ = false;
 
-  // Execution mode (resolved once in the constructor).
+  // Visit mode (resolved once in the constructor).
   bool visit_batching_ = false;
-  bool sharded_ = false;
   std::unique_ptr<trace::VisitSchedule> visit_plan_;
-  std::vector<Lane> lanes_;                 // exactly 1 when !sharded_
-  std::vector<std::uint32_t> lane_of_;      // node id + 1 -> lane index
-  std::unique_ptr<sim::ShardMergeQueue> merge_;
-  // Sharded only: per-node run-phase RNGs / injectors (index node id + 1)
-  // replace the engine-global rng_/injector_, and per-node emission
-  // counters give merge messages their deterministic sort key.
-  std::vector<util::Rng> node_rngs_;
-  std::vector<std::unique_ptr<fault::Injector>> node_injectors_;
-  std::vector<std::uint64_t> node_send_seq_;
 
   // Observability. The registry is engine-owned (nothing shared between
-  // batch jobs). Counters accumulate in LaneCounters and per-server
-  // histograms during the run; fold_lane_stats() moves them into the
-  // registry (idempotent, deterministic order).
+  // batch jobs). Counters accumulate in counters_ and per-server
+  // histograms during the run; fold_stats() moves them into the registry
+  // (idempotent, deterministic order).
+  Counters counters_;
   obs::MetricsRegistry metrics_;
   obs::TraceRecorder trace_;
   bool stats_folded_ = false;
@@ -721,15 +586,11 @@ class UpdateEngine {
   };
   TsColumns ts_cols_;
   trace::Version ts_published_cursor_ = 0;
-  std::uint64_t ts_barrier_wait_ns_ = 0;  // host-only, sharded drivers
+  obs::SpanBuffer spans_;  // propagation-span applies, folded at the end
 
   // Dispatch/phase profiler: slots interned once in bind_profiler(), so a
   // phase entry costs one null-check plus (when enabled) one table walk.
-  // event_profiler_ is profiler_ for classic engines and null for sharded
-  // ones (event handlers run on worker threads; the Profiler is
-  // single-threaded and stays with the driver).
   obs::Profiler* profiler_ = nullptr;
-  obs::Profiler* event_profiler_ = nullptr;
   std::vector<obs::ProfileSlot> tag_slots_;
   obs::ProfileSlot ps_send_ = 0;
   obs::ProfileSlot ps_version_ = 0;
@@ -741,7 +602,6 @@ class UpdateEngine {
   obs::ProfileSlot ps_mode_switch_ = 0;
   obs::ProfileSlot ps_tree_build_ = 0;
   obs::ProfileSlot ps_repair_ = 0;
-  obs::ProfileSlot ps_shard_merge_ = 0;
 };
 
 }  // namespace cdnsim::consistency

@@ -1,7 +1,5 @@
 #include "core/batch_runner.hpp"
 
-#include <algorithm>
-#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -22,8 +20,7 @@ BatchRunner::BatchRunner(BatchOptions options)
       heartbeat_period_s_(options.heartbeat_period_s) {}
 
 BatchResult BatchRunner::run_job(const BatchJob& job, std::uint64_t master_seed,
-                                 std::size_t job_index,
-                                 obs::ShardProgress* progress) {
+                                 std::size_t job_index) {
   BatchResult out;
   out.label = job.label;
   const auto start = std::chrono::steady_clock::now();
@@ -33,7 +30,6 @@ BatchResult BatchRunner::run_job(const BatchJob& job, std::uint64_t master_seed,
     prof = std::make_unique<obs::Profiler>();
     engine_config.profiler = prof.get();
   }
-  if (progress != nullptr) engine_config.shard_progress = progress;
   try {
     CDNSIM_EXPECTS(job.scenario.has_value() != (job.shared_nodes != nullptr),
                    "job needs exactly one of scenario / shared_nodes");
@@ -95,18 +91,9 @@ std::vector<BatchResult> BatchRunner::run(const std::vector<BatchJob>& jobs,
   // feed only the stderr progress line, never the results.
   std::atomic<std::size_t> done{0};
   std::atomic<std::uint64_t> events{0};
-  // With the heartbeat on, every job gets a live ShardProgress sink so the
-  // progress line can show per-lane throughput and merge depth for sharded
-  // jobs (all-atomic, host-only; results are unaffected).
-  std::vector<std::unique_ptr<obs::ShardProgress>> progress;
-  if (heartbeat_period_s_ > 0) {
-    progress.resize(jobs.size());
-    for (auto& p : progress) p = std::make_unique<obs::ShardProgress>();
-  }
   for (std::size_t i = 0; i < jobs.size(); ++i) {
-    pool.submit([&jobs, &results, &done, &events, &progress, master, i] {
-      results[i] = run_job(jobs[i], master, i,
-                           progress.empty() ? nullptr : progress[i].get());
+    pool.submit([&jobs, &results, &done, &events, master, i] {
+      results[i] = run_job(jobs[i], master, i);
       events.fetch_add(results[i].sim.events_processed,
                        std::memory_order_relaxed);
       done.fetch_add(1, std::memory_order_release);
@@ -119,11 +106,6 @@ std::vector<BatchResult> BatchRunner::run(const std::vector<BatchJob>& jobs,
     const auto slice = std::chrono::milliseconds(50);
     auto next_beat =
         start + std::chrono::duration<double>(heartbeat_period_s_);
-    // Per-job lane-event snapshot from the previous beat, for per-lane
-    // events/s deltas.
-    std::vector<std::array<std::uint64_t, obs::ShardProgress::kMaxLanes>>
-        prev_events(jobs.size());
-    auto prev_beat_time = start;
     while (done.load(std::memory_order_acquire) < jobs.size()) {
       std::this_thread::sleep_for(slice);
       const auto now = std::chrono::steady_clock::now();
@@ -149,43 +131,6 @@ std::vector<BatchResult> BatchRunner::run(const std::vector<BatchJob>& jobs,
                    "%llu steals\n",
                    d, jobs.size(), eps / 1e6, eta,
                    static_cast<unsigned long long>(pool.steal_count()));
-      // Per-lane progress for sharded jobs that moved this beat (at most
-      // two lines per beat to keep the heartbeat readable).
-      const double beat_s =
-          std::chrono::duration<double>(now - prev_beat_time).count();
-      prev_beat_time = now;
-      std::size_t shown = 0;
-      for (std::size_t j = 0; j < progress.size(); ++j) {
-        const obs::ShardProgress& p = *progress[j];
-        const auto lanes = static_cast<std::size_t>(
-            p.lanes.load(std::memory_order_relaxed));
-        if (lanes == 0) continue;
-        std::uint64_t moved = 0;
-        char line[256];
-        int pos = 0;
-        const std::size_t max_lanes_shown = 8;
-        for (std::size_t l = 0; l < lanes; ++l) {
-          const std::uint64_t ev =
-              p.lane_events[l].load(std::memory_order_relaxed);
-          const std::uint64_t staged =
-              p.staged_rows[l].load(std::memory_order_relaxed);
-          const std::uint64_t delta = ev - std::min(ev, prev_events[j][l]);
-          moved += delta;
-          prev_events[j][l] = ev;
-          if (l < max_lanes_shown && pos < static_cast<int>(sizeof(line)) - 32) {
-            pos += std::snprintf(
-                line + pos, sizeof(line) - static_cast<std::size_t>(pos),
-                "%s%.2fM/%llu", l == 0 ? "" : " ",
-                (beat_s > 0 ? static_cast<double>(delta) / beat_s : 0) / 1e6,
-                static_cast<unsigned long long>(staged));
-          }
-        }
-        if (moved == 0 || shown >= 2) continue;
-        ++shown;
-        std::fprintf(stderr,
-                     "[batch]   job %zu lanes(ev/s / staged): %s%s\n", j,
-                     line, lanes > max_lanes_shown ? " ..." : "");
-      }
     }
   }
   pool.wait_idle();

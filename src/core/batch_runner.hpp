@@ -102,12 +102,9 @@ class BatchRunner {
 
   /// The serial reference semantics: what run() must reproduce for job
   /// `job_index`. Exposed so tests (and callers wanting a plain loop) can
-  /// compare against the exact same derivation rule. `progress` (optional,
-  /// borrowed) receives live per-lane counters when the job's engine runs
-  /// sharded — host-only heartbeat data, never part of the results.
+  /// compare against the exact same derivation rule.
   static BatchResult run_job(const BatchJob& job, std::uint64_t master_seed,
-                             std::size_t job_index,
-                             obs::ShardProgress* progress = nullptr);
+                             std::size_t job_index);
 
   std::size_t threads() const { return threads_; }
   std::uint64_t master_seed() const { return master_seed_; }

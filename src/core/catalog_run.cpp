@@ -37,7 +37,6 @@ consistency::EngineConfig catalog_engine_config(
   // lanes run concurrently): each run_simulation owns its sampler, driven
   // by timeseries_sample_s alone.
   config.timeseries = nullptr;
-  config.shard_progress = nullptr;
   return config;
 }
 

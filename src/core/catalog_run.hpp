@@ -89,8 +89,7 @@ struct CatalogRunResult {
   /// Catalog-wide time series: every object's report merged in object-id
   /// order (delta columns and span buckets sum; gauges sum with each
   /// object's final value carried past its horizon). Empty unless the
-  /// template engine config enables timeseries_sample_s. Host shard
-  /// samples do not aggregate across objects and are cleared.
+  /// template engine config enables timeseries_sample_s.
   obs::TimeSeriesReport timeseries;
 };
 

@@ -43,8 +43,8 @@ PortfolioResult run_portfolio(const topology::NodeRegistry& nodes,
   }
   for (auto& engine : engines) engine->prepare();
   simulator.run();
-  // Counters/meters accumulate per lane during the run; fold them into each
-  // engine's registry before reading metrics or meters.
+  // Counters accumulate in each engine during the run; fold them into its
+  // registry before reading metrics.
   for (auto& engine : engines) engine->publish_run_stats();
 
   PortfolioResult out;

@@ -38,8 +38,6 @@ SimulationResult run_simulation(const topology::NodeRegistry& nodes,
   result.provider_traffic = engine.meter().sender_totals(topology::kProviderNode);
   result.user_observed_inconsistency_fraction =
       engine.user_observed_inconsistency_fraction();
-  // Through the engine, not the simulator: a sharded engine runs on its own
-  // internal per-lane simulators and the external one stays empty.
   result.events_processed = engine.events_processed();
   result.simulated_time_s = engine.final_time();
   result.failures_injected = engine.failures_injected();

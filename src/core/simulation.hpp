@@ -58,8 +58,7 @@ struct SimulationResult {
   obs::ProfileReport profile;
   /// Time-resolved telemetry, empty unless
   /// EngineConfig::timeseries_sample_s > 0. run_simulation owns the sampler
-  /// per run (jobs never share one); rows/spans/totals are deterministic,
-  /// the shard-health samples are host-only.
+  /// per run (jobs never share one); rows/spans/totals are deterministic.
   obs::TimeSeriesReport timeseries;
 };
 

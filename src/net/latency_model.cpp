@@ -148,10 +148,4 @@ sim::SimTime LatencyModel::one_way_between(std::size_t i, std::size_t j,
   return sample(propagation_between(i, j), crosses_isp, rng);
 }
 
-sim::SimTime LatencyModel::one_way_uncached(const GeoPoint& from,
-                                            const GeoPoint& to, bool crosses_isp,
-                                            util::Rng& rng) const {
-  return sample(propagation_uncached(from, to), crosses_isp, rng);
-}
-
 }  // namespace cdnsim::net

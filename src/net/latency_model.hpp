@@ -74,14 +74,6 @@ class LatencyModel {
   sim::SimTime one_way_between(std::size_t i, std::size_t j, bool crosses_isp,
                                util::Rng& rng) const;
 
-  /// one_way() minus the mutable one-entry memo: identical bits and rng
-  /// consumption, but safe to call concurrently from several threads (all
-  /// remaining state is written once by prime() and then read-only). The
-  /// sharded engine uses this when endpoints fall outside the primed set,
-  /// where one_way()'s memo would be a data race between lanes.
-  sim::SimTime one_way_uncached(const GeoPoint& from, const GeoPoint& to,
-                                bool crosses_isp, util::Rng& rng) const;
-
   const LatencyConfig& config() const { return config_; }
 
  private:

@@ -1,8 +1,5 @@
 #include "net/traffic_meter.hpp"
 
-#include <algorithm>
-#include <vector>
-
 #include "util/error.hpp"
 
 namespace cdnsim::net {
@@ -33,40 +30,6 @@ void TrafficMeter::record(MessageKind kind, NodeId sender, double distance_km,
 TrafficTotals TrafficMeter::sender_totals(NodeId sender) const {
   const auto it = by_sender_.find(sender);
   return it == by_sender_.end() ? TrafficTotals{} : it->second;
-}
-
-void TrafficMeter::merge_from(const TrafficMeter& other) {
-  auto add = [](TrafficTotals& into, const TrafficTotals& from) {
-    into.cost_km_kb += from.cost_km_kb;
-    into.load_km_update += from.load_km_update;
-    into.load_km_light += from.load_km_light;
-    into.update_messages += from.update_messages;
-    into.light_messages += from.light_messages;
-  };
-  add(totals_, other.totals_);
-  for (const auto& [sender, totals] : other.by_sender_) {
-    add(by_sender_[sender], totals);
-  }
-  for (std::size_t k = 0; k < kind_counts_.size(); ++k) {
-    kind_counts_[k] += other.kind_counts_[k];
-  }
-}
-
-void TrafficMeter::rebuild_totals_from_senders() {
-  std::vector<NodeId> senders;
-  senders.reserve(by_sender_.size());
-  for (const auto& [sender, totals] : by_sender_) senders.push_back(sender);
-  std::sort(senders.begin(), senders.end());
-  TrafficTotals rebuilt;
-  for (const NodeId sender : senders) {
-    const TrafficTotals& t = by_sender_[sender];
-    rebuilt.cost_km_kb += t.cost_km_kb;
-    rebuilt.load_km_update += t.load_km_update;
-    rebuilt.load_km_light += t.load_km_light;
-    rebuilt.update_messages += t.update_messages;
-    rebuilt.light_messages += t.light_messages;
-  }
-  totals_ = rebuilt;
 }
 
 void TrafficMeter::reset() {

@@ -49,18 +49,6 @@ class TrafficMeter {
     return kind_counts_;
   }
 
-  /// Adds another meter's accounting into this one (totals, per-sender
-  /// totals, kind counts). Used to fold per-lane meters of a sharded run
-  /// into the engine's published meter.
-  void merge_from(const TrafficMeter& other);
-
-  /// Recomputes `totals()` as the sum of per-sender totals in ascending
-  /// sender order. Per-sender totals are accumulated wholly within one
-  /// lane (single-writer), so after a merge this makes the grand totals a
-  /// pure function of the per-sender sums — independent of how many lanes
-  /// the messages were recorded on or in which interleaving.
-  void rebuild_totals_from_senders();
-
   void reset();
 
  private:

@@ -102,7 +102,7 @@ void RunManifest::write_json(std::ostream& out) const {
   out << "  \"platform\": \"" << json_escape(platform) << "\",\n";
   out << "  \"hardware_threads\": " << hardware_threads << ",\n";
   out << "  \"jobs\": " << jobs << ",\n";
-  out << "  \"shards\": \"" << json_escape(shards) << "\",\n";
+  out << "  \"lanes\": \"" << json_escape(lanes) << "\",\n";
   out << "  \"wall_s\": " << util::format_double(wall_s) << "\n";
   out << "}\n";
 }

@@ -26,9 +26,9 @@ struct RunManifest {
   std::string platform;            // e.g. "linux"
   unsigned hardware_threads = 0;
   int jobs = 0;                    // --jobs actually used
-  std::string shards;              // --shards selection + resolved lane
-                                   // counts ("auto:2-4, 18/18 jobs");
-                                   // empty if the binary has no sharding
+  std::string lanes;               // catalog --lanes selection + resolved
+                                   // object-lane count ("auto:4");
+                                   // empty if the binary has no lanes
   double wall_s = 0;               // total wall-clock run time
 
   void write_json(std::ostream& out) const;

@@ -52,17 +52,6 @@ void TimeSeries::fold_spans(const SpanBuffer& buffer) {
                   buffer.applies.end());
 }
 
-void TimeSeries::shard_health_sample(double t, std::uint64_t staged_rows,
-                                     std::uint64_t barrier_wait_ns,
-                                     std::vector<std::uint64_t> lane_events) {
-  TimeSeriesReport::ShardSample s;
-  s.t = t;
-  s.staged_rows = staged_rows;
-  s.barrier_wait_ns = barrier_wait_ns;
-  s.lane_events = std::move(lane_events);
-  shard_samples_.push_back(std::move(s));
-}
-
 TimeSeriesReport TimeSeries::report() const {
   TimeSeriesReport out;
   out.sample_s = sample_s_;
@@ -77,8 +66,8 @@ TimeSeriesReport TimeSeries::report() const {
   }
 
   // Span rollup. Sorting the folded applies by (version, latency) erases
-  // lane interleaving: the per-version order statistics below depend only
-  // on the multiset of observations.
+  // fold order: the per-version order statistics below depend only on the
+  // multiset of observations.
   std::vector<SpanApply> applies = applies_;
   std::sort(applies.begin(), applies.end(),
             [](const SpanApply& a, const SpanApply& b) {
@@ -113,17 +102,12 @@ TimeSeriesReport TimeSeries::report() const {
     row.last_sum_s += last;
     row.last_max_s = std::max(row.last_max_s, last);
   }
-
-  out.shards = shards_;
-  out.shard_samples = shard_samples_;
   return out;
 }
 
 void TimeSeriesReport::merge_from(const TimeSeriesReport& other) {
   if (rows.empty() && names.empty()) {
     *this = other;
-    shards = 0;
-    shard_samples.clear();
     return;
   }
   CDNSIM_EXPECTS(sample_s == other.sample_s,
@@ -185,9 +169,6 @@ void TimeSeriesReport::merge_from(const TimeSeriesReport& other) {
   while (i < spans.size()) merged.push_back(spans[i++]);
   while (j < other.spans.size()) merged.push_back(other.spans[j++]);
   spans = std::move(merged);
-
-  shards = 0;
-  shard_samples.clear();
 }
 
 namespace {
@@ -254,45 +235,6 @@ std::string TimeSeriesReport::deterministic_json() const {
   std::ostringstream out;
   write_deterministic(out);
   return out.str();
-}
-
-void TimeSeriesReport::write_host(std::ostream& out) const {
-  if (shards == 0) {
-    out << "{}";
-    return;
-  }
-  // Lane imbalance: max over lanes of final cumulative events divided by
-  // the mean — 1.0 is a perfectly balanced decomposition.
-  double imbalance = 0;
-  if (!shard_samples.empty() && !shard_samples.back().lane_events.empty()) {
-    const auto& final_events = shard_samples.back().lane_events;
-    std::uint64_t total = 0, peak = 0;
-    for (const std::uint64_t e : final_events) {
-      total += e;
-      peak = std::max(peak, e);
-    }
-    if (total > 0) {
-      imbalance = static_cast<double>(peak) * static_cast<double>(final_events.size()) /
-                  static_cast<double>(total);
-    }
-  }
-  out << "{\"shards\":" << shards << ",\"lane_imbalance\":";
-  write_double(out, imbalance);
-  out << ",\"samples\":[";
-  for (std::size_t r = 0; r < shard_samples.size(); ++r) {
-    if (r > 0) out << ',';
-    const ShardSample& s = shard_samples[r];
-    out << "{\"t\":";
-    write_double(out, s.t);
-    out << ",\"staged_rows\":" << s.staged_rows
-        << ",\"barrier_wait_ns\":" << s.barrier_wait_ns << ",\"lane_events\":[";
-    for (std::size_t i = 0; i < s.lane_events.size(); ++i) {
-      if (i > 0) out << ',';
-      out << s.lane_events[i];
-    }
-    out << "]}";
-  }
-  out << "]}";
 }
 
 }  // namespace cdnsim::obs

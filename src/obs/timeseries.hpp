@@ -9,9 +9,8 @@
 //    indices); the disabled configuration costs one null-check per hook;
 //  * sampling is driven purely by the sim-time grid t = k * sample_s —
 //    never by host threads or timers. Sample k's row covers events with
-//    time < k * sample_s, matching the sharded driver's strictly-before
-//    epoch-barrier semantics, so the deterministic section is
-//    byte-identical across --jobs and --shards counts;
+//    time < k * sample_s, so the artifact is byte-identical across --jobs
+//    counts;
 //  * "delta" columns stage a cumulative total and emit per-interval
 //    differences (their interval sums telescope back to the final
 //    MetricsRegistry counters — check_obs.py --timeseries reconciles
@@ -19,18 +18,14 @@
 //  * propagation spans record, per published version, the latency from
 //    origin publish to each replica apply, and are rolled up per
 //    publish-interval bucket (first/median/last replica, never per-message
-//    rows). Apply records accumulate in per-lane SpanBuffers and are
-//    folded and sorted at report time, so lane interleaving cannot leak in;
-//  * shard-pipeline health (per-lane events, staged merge rows, driver
-//    barrier wait) is decomposition-dependent by nature and lands in the
-//    artifact's "host" section, like the profiler's wall times.
+//    rows). Apply records accumulate in a SpanBuffer and are folded and
+//    sorted at report time, so the rollup depends only on the multiset of
+//    observations.
 //
 // The obs layer deliberately does not include sim headers (the Simulator
 // includes obs/profiler.hpp); times are plain doubles (seconds).
 #pragma once
 
-#include <atomic>
-#include <array>
 #include <cstdint>
 #include <iosfwd>
 #include <string>
@@ -52,8 +47,8 @@ struct SpanApply {
   double latency_s = 0;
 };
 
-/// Per-lane buffer of apply records. Single-writer under sharding (the
-/// owning lane appends); folded into the TimeSeries after the run.
+/// Buffer of apply records, appended during the run and folded into the
+/// TimeSeries after it.
 struct SpanBuffer {
   std::vector<SpanApply> applies;
   void record(std::uint64_t version, double latency_s) {
@@ -61,19 +56,8 @@ struct SpanBuffer {
   }
 };
 
-/// Live per-lane progress for the batch heartbeat. Host-only by design:
-/// the heartbeat thread reads while lane workers run, so every slot is a
-/// relaxed atomic; nothing here feeds the deterministic artifacts.
-struct ShardProgress {
-  static constexpr std::size_t kMaxLanes = 64;
-  std::atomic<std::uint32_t> lanes{0};
-  std::array<std::atomic<std::uint64_t>, kMaxLanes> lane_events{};
-  std::array<std::atomic<std::uint64_t>, kMaxLanes> staged_rows{};
-};
-
-/// A finished, serialisable time series. The deterministic members are a
-/// pure function of sim time and seeded RNG state; the shard-health members
-/// are host/decomposition data and serialise only into the "host" section.
+/// A finished, serialisable time series: a pure function of sim time and
+/// seeded RNG state.
 struct TimeSeriesReport {
   double sample_s = 0;
   std::uint64_t replica_count = 0;
@@ -100,16 +84,6 @@ struct TimeSeriesReport {
   };
   std::vector<SpanRow> spans;
 
-  // --- host-only shard-pipeline health ---
-  struct ShardSample {
-    double t = 0;
-    std::uint64_t staged_rows = 0;      // merge-queue rows staged at sample
-    std::uint64_t barrier_wait_ns = 0;  // cumulative driver wall wait
-    std::vector<std::uint64_t> lane_events;  // cumulative per lane
-  };
-  std::uint32_t shards = 0;
-  std::vector<ShardSample> shard_samples;
-
   bool empty() const { return rows.empty(); }
 
   /// Folds another report into this one (catalog aggregation: per-object
@@ -117,8 +91,7 @@ struct TimeSeriesReport {
   /// column layout. Delta columns add row-wise (a shorter report
   /// contributes 0 past its horizon); gauge columns add row-wise with the
   /// shorter report's final value carried forward (its state persists).
-  /// Span buckets merge by timestamp. Host shard samples do not merge (an
-  /// aggregate of per-object lane layouts has no meaning) and are cleared.
+  /// Span buckets merge by timestamp.
   void merge_from(const TimeSeriesReport& other);
 
   /// Canonical JSON of the deterministic section (no trailing newline):
@@ -127,9 +100,6 @@ struct TimeSeriesReport {
   ///  "totals":{name:value,...}}. Equal series serialise to equal bytes.
   void write_deterministic(std::ostream& out) const;
   std::string deterministic_json() const;
-
-  /// Host-only JSON fragment (shard health); "{}" when not sharded.
-  void write_host(std::ostream& out) const;
 };
 
 /// The live sampler: one per run, bound once, never shared between jobs.
@@ -154,8 +124,8 @@ class TimeSeries {
   }
 
   /// The next sample's timestamp. Computed as (row_count + 1) * sample_s —
-  /// a multiplication, never an accumulation, so the grid is bit-identical
-  /// however the run is decomposed.
+  /// a multiplication, never an accumulation, so grid points carry no
+  /// accumulated rounding.
   double next_sample_time() const {
     return static_cast<double>(rows_.size() + 1) * sample_s_;
   }
@@ -170,16 +140,10 @@ class TimeSeries {
   /// Declares version `version` published at `publish_time`. Versions must
   /// be registered 1..N before report().
   void span_publish(std::uint64_t version, double publish_time);
-  /// Folds one lane's apply records; order across lanes is irrelevant
-  /// (report() sorts by (version, latency)).
+  /// Folds a buffer of apply records; fold order is irrelevant (report()
+  /// sorts by (version, latency)).
   void fold_spans(const SpanBuffer& buffer);
   void set_replica_count(std::uint64_t n) { replica_count_ = n; }
-
-  // --- host-only shard health ---
-  void set_shards(std::uint32_t shards) { shards_ = shards; }
-  void shard_health_sample(double t, std::uint64_t staged_rows,
-                           std::uint64_t barrier_wait_ns,
-                           std::vector<std::uint64_t> lane_events);
 
   /// Builds the finished report (rows copied, spans rolled up per
   /// publish-interval bucket).
@@ -197,8 +161,6 @@ class TimeSeries {
   std::vector<double> publish_times_;  // index = version - 1
   std::vector<SpanApply> applies_;
   std::uint64_t replica_count_ = 0;
-  std::uint32_t shards_ = 0;
-  std::vector<TimeSeriesReport::ShardSample> shard_samples_;
 };
 
 }  // namespace cdnsim::obs

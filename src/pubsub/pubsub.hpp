@@ -9,8 +9,8 @@
 //
 //  * Topic      — per-topic subscriber registry. Subscribers get compact
 //                 u32 ids in registration order; the fan-out walks them in
-//                 id order, which is what makes sharded runs byte-identical
-//                 (the walk order is a function of topology alone).
+//                 id order, so the walk order is a function of topology
+//                 alone.
 //  * UpdateLog  — bounded, in-order log of published sequence numbers, the
 //                 source of truth for catch-up. A lagging subscriber tails
 //                 missed versions from here (RocketSpeed's tailer idiom);

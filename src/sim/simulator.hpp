@@ -53,17 +53,13 @@ class Simulator {
   void run(SimTime until = std::numeric_limits<SimTime>::infinity());
 
   /// Run every event strictly before `horizon`, leaving now() at the last
-  /// processed event rather than forcing it to the horizon. This is the
-  /// epoch-barrier primitive of the sharded engine driver: after
-  /// run_before(B) the lane may legally accept injected events at any
-  /// time >= B, and max(now()) across lanes stays the time of the last
-  /// real event, not a synthetic barrier tick.
+  /// processed event rather than forcing it to the horizon. The engine's
+  /// time-series sampler runs to each grid point this way: after
+  /// run_before(B) every event before B has fired, none at or after it has,
+  /// and now() stays the time of the last real event, not a synthetic tick.
   void run_before(SimTime horizon) {
     while (!queue_.empty() && queue_.next_time() < horizon) step();
   }
-
-  /// Timestamp of the earliest pending event. Precondition: !drained().
-  SimTime next_event_time() const { return queue_.next_time(); }
 
   /// Process a single event if one exists; returns false when drained.
   bool step();

@@ -175,9 +175,9 @@ TEST(InconsistencyProperty, ZeroUpdatesMeansZeroInconsistency) {
   const trace::UpdateTrace updates(std::vector<sim::SimTime>{});
   const SnapshotTimeline timeline(updates, 0.0);
   const auto log = random_log(updates, rng, 4);
-  EXPECT_TRUE(request_inconsistency_lengths(log, timeline).empty() ||
-              std::all_of(request_inconsistency_lengths(log, timeline).begin(),
-                          request_inconsistency_lengths(log, timeline).end(),
+  const auto lengths = request_inconsistency_lengths(log, timeline);
+  EXPECT_TRUE(lengths.empty() ||
+              std::all_of(lengths.begin(), lengths.end(),
                           [](double x) { return x == 0.0; }));
   for (net::NodeId server : log.servers()) {
     const auto obs = log.for_server(server);

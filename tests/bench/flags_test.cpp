@@ -37,11 +37,11 @@ TEST(FlagsTest, ParseNumberRejectsGarbageAndAcceptsWholeTokens) {
 
 TEST(FlagsTest, WellFormedValuesParse) {
   const Flags f = make_flags({"--users", "12", "--heartbeat", "2.5",
-                              "--shards", "auto", "--epoch-s", "3"});
+                              "--lanes", "auto"});
   EXPECT_EQ(f.get_int("users", 0), 12);
   EXPECT_EQ(f.get("heartbeat", 0.0), 2.5);
-  EXPECT_EQ(f.shards(1), consistency::EngineConfig::ShardConfig::kAuto);
-  EXPECT_EQ(f.epoch_s(1.0), 3.0);
+  EXPECT_EQ(f.lanes(1), core::CatalogRunConfig::kAutoLanes);
+  EXPECT_EQ(make_flags({"--lanes", "4"}).lanes(1), 4);
   // Absent keys fall back.
   EXPECT_EQ(f.get_int("days", 15), 15);
   EXPECT_EQ(f.get("rate", 0.25), 0.25);
@@ -72,20 +72,14 @@ TEST(FlagsDeathTest, GetIntRejectsFractions) {
               "--objects expects an integer");
 }
 
-TEST(FlagsDeathTest, ShardsStillRejectsZeroAndGarbage) {
-  EXPECT_EXIT(make_flags({"--shards", "0"}).shards(1),
+TEST(FlagsDeathTest, LanesStillRejectsZeroAndGarbage) {
+  EXPECT_EXIT(make_flags({"--lanes", "0"}).lanes(1),
               ::testing::ExitedWithCode(2),
-              "--shards expects 'auto' or an integer >= 1");
-  EXPECT_EXIT(make_flags({"--shards", "4q"}).shards(1),
-              ::testing::ExitedWithCode(2), "--shards expects");
-}
-
-TEST(FlagsDeathTest, EpochStillRejectsNonPositive) {
-  EXPECT_EXIT(make_flags({"--epoch-s", "0"}).epoch_s(1.0),
-              ::testing::ExitedWithCode(2),
-              "--epoch-s expects a positive number");
-  EXPECT_EXIT(make_flags({"--epoch-s", "inf"}).epoch_s(1.0),
-              ::testing::ExitedWithCode(2), "--epoch-s expects");
+              "--lanes expects 'auto' or an integer >= 1");
+  EXPECT_EXIT(make_flags({"--lanes", "-2"}).lanes(1),
+              ::testing::ExitedWithCode(2), "--lanes expects");
+  EXPECT_EXIT(make_flags({"--lanes", "4q"}).lanes(1),
+              ::testing::ExitedWithCode(2), "--lanes expects");
 }
 
 }  // namespace

@@ -1,18 +1,15 @@
-// Decomposition invariance and reconciliation for the engine's time-series
-// sampling. Named *ShardPipeline* so the tier-1 TSan stage picks the suite
-// up: the sampler interleaves with the sharded drivers' epoch loop (barrier
-// clamping, closing sample), which is exactly where a data race or a
-// decomposition leak would live.
+// Time-series sampling on the engine's driver: sampling observes a run
+// without changing it, the sample grid has strictly-before semantics, and
+// the sampled series reconcile with the end-of-run counters.
 //
-// 1. The deterministic timeseries section must be byte-identical across
-//    every lane count, both sharded drivers (lockstep and overlapped) and
-//    every worker count — including the edge grids (sample interval beyond
-//    the horizon, samples landing exactly on event times). Classic
-//    execution is its own timing domain (no epoch grid — see the auto
-//    selection notes in shard_pipeline_equivalence_test.cpp), so the
-//    reference is a single lockstep lane, the same contract the tier-1
-//    --shards 1/2/8/auto grid pins on the artifact files.
-// 2. Delta-column interval sums must telescope to the final MetricsRegistry
+// 1. A run with the sampler (and the profiler and trace events) attached
+//    must produce byte-identical metrics to the same run without them —
+//    the contract the tier-1 observe-vs-plain fig20 cmp pins on the
+//    artifact files.
+// 2. Sample k covers events strictly before k * sample_s, including the
+//    edge grids (sample interval beyond the horizon, publishes landing
+//    exactly on sample points).
+// 3. Delta-column interval sums must telescope to the final MetricsRegistry
 //    counters, and the closing sample must reproduce the end-of-run
 //    converged_server_fraction exactly — the contract check_obs.py
 //    --timeseries and the ext_convergence_curves shape checks ride on.
@@ -24,6 +21,7 @@
 #include "consistency/engine.hpp"
 #include "consistency/engine_test_util.hpp"
 #include "core/simulation.hpp"
+#include "obs/profiler.hpp"
 
 namespace cdnsim::consistency {
 namespace {
@@ -42,75 +40,77 @@ fault::FaultPlan nonzero_fault_plan() {
   return plan;
 }
 
-std::string timeseries_json(const topology::NodeRegistry& nodes,
-                            const trace::UpdateTrace& updates,
-                            EngineConfig config, int shards, bool overlap,
-                            int workers) {
-  config.shard.shards = shards;
-  config.shard.overlap = overlap;
-  config.shard.workers = workers;
-  const core::SimulationResult r =
-      core::run_simulation(nodes, updates, config);
-  EXPECT_FALSE(r.timeseries.empty());
-  return r.timeseries.deterministic_json();
-}
-
-void expect_invariant_across_decompositions(const trace::UpdateTrace& updates,
-                                            EngineConfig config) {
+TEST(TimeSeriesSamplingTest, ObservingDoesNotChangeResults) {
   const auto scenario = small_scenario();
-  const std::string reference = timeseries_json(
-      *scenario.nodes, updates, config, /*shards=*/1, /*overlap=*/false, 1);
-  for (const int shards : {1, 2, 4}) {
-    for (const bool overlap : {false, true}) {
-      for (const int workers : {1, 4}) {
-        SCOPED_TRACE("shards=" + std::to_string(shards) +
-                     " overlap=" + std::to_string(overlap) +
-                     " workers=" + std::to_string(workers));
-        EXPECT_EQ(timeseries_json(*scenario.nodes, updates, config, shards,
-                                  overlap, workers),
-                  reference);
-      }
-    }
+  const auto updates = short_game();
+  for (const auto method :
+       {UpdateMethod::kSelfAdaptive, UpdateMethod::kPush, UpdateMethod::kTtl}) {
+    SCOPED_TRACE(std::string(to_string(method)));
+    EngineConfig plain =
+        base_config(method, InfrastructureKind::kMulticastTree);
+    plain.fault = nonzero_fault_plan();
+    plain.reliable.enabled = true;
+    const core::SimulationResult a =
+        core::run_simulation(*scenario.nodes, updates, plain);
+
+    EngineConfig observed = plain;
+    observed.timeseries_sample_s = 25.0;
+    observed.record_trace_events = true;
+    obs::Profiler profiler;
+    observed.profiler = &profiler;
+    const core::SimulationResult b =
+        core::run_simulation(*scenario.nodes, updates, observed);
+
+    EXPECT_FALSE(b.timeseries.empty());
+    EXPECT_GT(b.trace.size(), 0u);
+    EXPECT_EQ(a.metrics.to_json(), b.metrics.to_json());
+    EXPECT_EQ(a.server_inconsistency_s, b.server_inconsistency_s);
+    EXPECT_EQ(a.user_inconsistency_s, b.user_inconsistency_s);
+    EXPECT_EQ(a.events_processed, b.events_processed);
   }
 }
 
-TEST(TimeSeriesShardPipelineTest, ByteIdenticalAcrossDriversLanesWorkers) {
-  EngineConfig config =
-      base_config(UpdateMethod::kSelfAdaptive, InfrastructureKind::kUnicast);
-  config.fault = nonzero_fault_plan();
-  config.reliable.enabled = true;
-  config.timeseries_sample_s = 25.0;
-  expect_invariant_across_decompositions(short_game(), config);
-}
-
-TEST(TimeSeriesShardPipelineTest, IntervalBeyondHorizonYieldsOneClosingRow) {
+TEST(TimeSeriesSamplingTest, IntervalBeyondHorizonYieldsOneClosingRow) {
   // One sample interval longer than the whole run: the only row is the
-  // closing sample, and it still must not depend on the decomposition.
+  // closing sample.
   EngineConfig config = base_config(UpdateMethod::kPush);
   config.timeseries_sample_s = 1e6;
   const auto scenario = small_scenario();
-  const auto updates = short_game();
-  for (const int shards : {0, 1, 2}) {
-    config.shard.shards = shards;
-    const core::SimulationResult r =
-        core::run_simulation(*scenario.nodes, updates, config);
-    SCOPED_TRACE("shards=" + std::to_string(shards));
-    ASSERT_EQ(r.timeseries.rows.size(), 1u);
-    EXPECT_DOUBLE_EQ(r.timeseries.rows[0][0], 1e6);
-  }
-  expect_invariant_across_decompositions(updates, config);
+  const core::SimulationResult r =
+      core::run_simulation(*scenario.nodes, short_game(), config);
+  ASSERT_EQ(r.timeseries.rows.size(), 1u);
+  EXPECT_DOUBLE_EQ(r.timeseries.rows[0][0], 1e6);
 }
 
-TEST(TimeSeriesShardPipelineTest, EventsExactlyOnTheSampleGrid) {
+TEST(TimeSeriesSamplingTest, EventsExactlyOnTheSampleGrid) {
   // Updates published exactly at t = k * sample_s: sample k covers events
   // strictly before its timestamp, so a grid-aligned publish lands in the
-  // *next* interval — on every driver identically.
+  // *next* interval.
   EngineConfig config = base_config(UpdateMethod::kTtl);
   config.timeseries_sample_s = 10.0;
-  expect_invariant_across_decompositions(regular_trace(10.0, 20), config);
+  const auto scenario = small_scenario();
+  const auto updates = regular_trace(10.0, 20);
+  const core::SimulationResult r =
+      core::run_simulation(*scenario.nodes, updates, config);
+  const obs::TimeSeriesReport& ts = r.timeseries;
+  std::size_t col = ts.names.size();
+  for (std::size_t c = 0; c < ts.names.size(); ++c) {
+    if (ts.names[c] == "consistency.updates_published") col = c;
+  }
+  ASSERT_LT(col, ts.names.size());
+  double published = 0;
+  for (const auto& row : ts.rows) {
+    published += row[col + 1];
+    double expected = 0;
+    for (const sim::SimTime t : updates.times()) {
+      if (t + config.trace_offset_s < row[0]) ++expected;
+    }
+    EXPECT_DOUBLE_EQ(published, expected) << "t=" << row[0];
+  }
+  EXPECT_DOUBLE_EQ(published, static_cast<double>(updates.update_count()));
 }
 
-TEST(TimeSeriesShardPipelineTest, ZeroUpdateRunStillSamples) {
+TEST(TimeSeriesSamplingTest, ZeroUpdateRunStillSamples) {
   EngineConfig config = base_config(UpdateMethod::kInvalidation);
   config.timeseries_sample_s = 50.0;
   const auto scenario = small_scenario();
@@ -126,7 +126,7 @@ TEST(TimeSeriesShardPipelineTest, ZeroUpdateRunStillSamples) {
   }
 }
 
-TEST(TimeSeriesShardPipelineTest, DeltaTotalsReconcileWithFinalCounters) {
+TEST(TimeSeriesSamplingTest, DeltaTotalsReconcileWithFinalCounters) {
   EngineConfig config = base_config(UpdateMethod::kPush);
   config.fault = nonzero_fault_plan();
   config.reliable.enabled = true;
@@ -167,7 +167,7 @@ TEST(TimeSeriesShardPipelineTest, DeltaTotalsReconcileWithFinalCounters) {
   }
 }
 
-TEST(TimeSeriesShardPipelineTest, ClosingSampleMatchesConvergedFraction) {
+TEST(TimeSeriesSamplingTest, ClosingSampleMatchesConvergedFraction) {
   for (const auto method : {UpdateMethod::kTtl, UpdateMethod::kPush,
                             UpdateMethod::kInvalidation}) {
     EngineConfig config = base_config(method);
@@ -192,7 +192,7 @@ TEST(TimeSeriesShardPipelineTest, ClosingSampleMatchesConvergedFraction) {
   }
 }
 
-TEST(TimeSeriesShardPipelineTest, SpansAccountForEveryPublishedVersion) {
+TEST(TimeSeriesSamplingTest, SpansAccountForEveryPublishedVersion) {
   EngineConfig config = base_config(UpdateMethod::kPush);
   config.timeseries_sample_s = 25.0;
   const auto scenario = small_scenario();

@@ -1,5 +1,4 @@
-// Equivalence battery for batched user-visit processing and intra-run
-// sharding.
+// Equivalence battery for batched user-visit processing.
 //
 // 1. Batched visits (the default) must be observationally byte-identical to
 //    the legacy one-event-per-visit path: same recorder contents, same
@@ -8,10 +7,8 @@
 //    which reports the (far fewer) events the batched run actually fires.
 //    Checked across all five paper systems, with reliable delivery off and
 //    on, under a nonzero fault plan.
-// 2. A sharded run must be a pure function of the simulated history: the
-//    full metrics JSON — sim.* gauges included — and every result vector
-//    must be byte-identical across shard counts {1, 2, 8} and across
-//    worker counts for a fixed shard count.
+// 2. The batch flush cadence is an execution knob: any epoch length yields
+//    the same observable results.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -97,20 +94,16 @@ Fingerprint fingerprint(const UpdateEngine& engine) {
 }
 
 // operator== on doubles is bit-exact here (no NaNs in these outputs), which
-// is the equivalence the batched path promises.
-void expect_identical(const Fingerprint& a, const Fingerprint& b,
-                      bool including_sim_gauges) {
+// is the equivalence the batched path promises. The sim.* gauges count the
+// events actually fired, which batching changes by design.
+void expect_identical(const Fingerprint& a, const Fingerprint& b) {
   EXPECT_EQ(a.server_avg, b.server_avg);
   EXPECT_EQ(a.user_avg, b.user_avg);
   EXPECT_EQ(a.per_server_max_user, b.per_server_max_user);
   EXPECT_EQ(a.observed_fraction, b.observed_fraction);
   EXPECT_EQ(a.cdf_quantiles, b.cdf_quantiles);
-  if (including_sim_gauges) {
-    EXPECT_EQ(a.metrics_json, b.metrics_json);
-  } else {
-    EXPECT_EQ(strip_sim_gauges(a.metrics_json),
-              strip_sim_gauges(b.metrics_json));
-  }
+  EXPECT_EQ(strip_sim_gauges(a.metrics_json),
+            strip_sim_gauges(b.metrics_json));
 }
 
 class VisitBatchEquivalenceTest
@@ -133,8 +126,7 @@ TEST_P(VisitBatchEquivalenceTest, BatchedMatchesLegacyPerVisitPath) {
     SCOPED_TRACE(std::string(sys.name) +
                  (reliable ? " reliable" : " best-effort"));
     expect_identical(fingerprint(*batched_run->engine),
-                     fingerprint(*legacy_run->engine),
-                     /*including_sim_gauges=*/false);
+                     fingerprint(*legacy_run->engine));
     // Batching must actually batch: fewer events than one per visit.
     EXPECT_LT(batched_run->engine->events_processed(),
               legacy_run->engine->events_processed());
@@ -155,86 +147,12 @@ TEST_P(VisitBatchEquivalenceTest, EpochLengthDoesNotChangeResults) {
   // The flush cadence is an execution knob; even the event counts may
   // differ, but every observable result must not.
   expect_identical(fingerprint(*coarse_run->engine),
-                   fingerprint(*fine_run->engine),
-                   /*including_sim_gauges=*/false);
-}
-
-TEST_P(VisitBatchEquivalenceTest, ShardCountDoesNotChangeResults) {
-  const System& sys = GetParam();
-  const auto scenario = small_scenario();
-  const auto updates = short_game();
-  Fingerprint reference;
-  bool have_reference = false;
-  for (const int shards : {1, 2, 8}) {
-    EngineConfig ec = base_config(sys.method, sys.infra);
-    ec.fault = nonzero_fault_plan();
-    ec.shard.shards = shards;
-    ec.shard.workers = 2;
-    const auto r = run(*scenario.nodes, updates, ec);
-    SCOPED_TRACE(std::string(sys.name) + " shards=" + std::to_string(shards));
-    const Fingerprint fp = fingerprint(*r->engine);
-    if (!have_reference) {
-      reference = fp;
-      have_reference = true;
-    } else {
-      expect_identical(reference, fp, /*including_sim_gauges=*/true);
-    }
-  }
+                   fingerprint(*fine_run->engine));
 }
 
 INSTANTIATE_TEST_SUITE_P(FiveSystems, VisitBatchEquivalenceTest,
                          ::testing::ValuesIn(kSystems),
                          [](const auto& info) { return info.param.name; });
-
-TEST(VisitBatchShardingTest, WorkerCountDoesNotChangeResults) {
-  const auto scenario = small_scenario();
-  const auto updates = short_game();
-  Fingerprint reference;
-  bool have_reference = false;
-  for (const int workers : {1, 4, 8}) {
-    EngineConfig ec = base_config(UpdateMethod::kSelfAdaptive,
-                                  InfrastructureKind::kHybridSupernode);
-    ec.fault = nonzero_fault_plan();
-    ec.reliable.enabled = true;
-    ec.shard.shards = 4;
-    ec.shard.workers = workers;
-    const auto r = run(*scenario.nodes, updates, ec);
-    SCOPED_TRACE("workers=" + std::to_string(workers));
-    const Fingerprint fp = fingerprint(*r->engine);
-    if (!have_reference) {
-      reference = fp;
-      have_reference = true;
-    } else {
-      expect_identical(reference, fp, /*including_sim_gauges=*/true);
-    }
-  }
-}
-
-TEST(VisitBatchShardingTest, ShardCountClampsToServerCount) {
-  const auto scenario = small_scenario(3, 42);
-  const auto updates = testutil::regular_trace(25.0, 8);
-  EngineConfig wide = base_config(UpdateMethod::kTtl);
-  wide.shard.shards = 64;  // clamped to the 3 servers
-  EngineConfig narrow = base_config(UpdateMethod::kTtl);
-  narrow.shard.shards = 2;
-  const auto wide_run = run(*scenario.nodes, updates, wide);
-  const auto narrow_run = run(*scenario.nodes, updates, narrow);
-  expect_identical(fingerprint(*wide_run->engine),
-                   fingerprint(*narrow_run->engine),
-                   /*including_sim_gauges=*/true);
-}
-
-TEST(VisitBatchShardingTest, RepeatedShardedRunsAreDeterministic) {
-  const auto scenario = small_scenario();
-  const auto updates = short_game();
-  EngineConfig ec = base_config(UpdateMethod::kInvalidation);
-  ec.fault = nonzero_fault_plan();
-  ec.shard.shards = 8;
-  const auto first = run(*scenario.nodes, updates, ec);
-  const auto second = run(*scenario.nodes, updates, ec);
-  expect_identical(fingerprint(*first->engine), fingerprint(*second->engine),
-                   /*including_sim_gauges=*/true);
-}
 
 }  // namespace
 }  // namespace cdnsim::consistency

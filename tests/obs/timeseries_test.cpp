@@ -1,10 +1,9 @@
 // Sampler semantics for obs::TimeSeries: delta vs gauge columns, the
-// (rows+1)*sample_s grid, propagation-span rollups (including lane-fold
-// order invariance), report merging for catalog aggregation, and the
-// canonical serialisation split (deterministic vs host sections).
+// (rows+1)*sample_s grid, propagation-span rollups (including fold-order
+// invariance), report merging for catalog aggregation, and the canonical
+// serialisation.
 #include <gtest/gtest.h>
 
-#include <sstream>
 #include <string>
 
 #include "obs/timeseries.hpp"
@@ -192,20 +191,6 @@ TEST(TimeSeriesTest, MergeIsSymmetricInRowValues) {
   EXPECT_EQ(ab.deterministic_json(), ba.deterministic_json());
 }
 
-TEST(TimeSeriesTest, MergeClearsHostShardData) {
-  TimeSeries ts(10.0);
-  ts.add_delta("d");
-  ts.add_gauge("g");
-  ts.take_sample();
-  ts.set_shards(2);
-  ts.shard_health_sample(10.0, 3, 123, {5, 6});
-  TimeSeriesReport merged = ts.report();
-  EXPECT_EQ(merged.shards, 2u);
-  merged.merge_from(two_row_report());
-  EXPECT_EQ(merged.shards, 0u);
-  EXPECT_TRUE(merged.shard_samples.empty());
-}
-
 TEST(TimeSeriesTest, EqualSeriesSerialiseToEqualBytes) {
   EXPECT_EQ(two_row_report().deterministic_json(),
             two_row_report().deterministic_json());
@@ -221,29 +206,6 @@ TEST(TimeSeriesTest, DeterministicJsonHasTheDocumentedShape) {
             std::string::npos);
   EXPECT_NE(json.find("\"totals\":{\"d\":3,\"g\":7}"), std::string::npos);
   EXPECT_EQ(json.find('\n'), std::string::npos);  // single-line canonical
-}
-
-TEST(TimeSeriesTest, HostSectionIsEmptyObjectWhenNotSharded) {
-  std::ostringstream out;
-  two_row_report().write_host(out);
-  EXPECT_EQ(out.str(), "{}");
-}
-
-TEST(TimeSeriesTest, HostSectionCarriesShardHealthSamples) {
-  TimeSeries ts(10.0);
-  ts.add_gauge("g");
-  ts.take_sample();
-  ts.set_shards(2);
-  ts.shard_health_sample(10.0, 3, 123, {6, 2});
-  std::ostringstream out;
-  ts.report().write_host(out);
-  const std::string json = out.str();
-  EXPECT_NE(json.find("\"shards\":2"), std::string::npos);
-  EXPECT_NE(json.find("\"staged_rows\":3"), std::string::npos);
-  EXPECT_NE(json.find("\"barrier_wait_ns\":123"), std::string::npos);
-  EXPECT_NE(json.find("\"lane_events\":[6,2]"), std::string::npos);
-  // Final-sample imbalance: peak lane (6) over mean ((6+2)/2 = 4) = 1.5.
-  EXPECT_NE(json.find("\"lane_imbalance\":1.5"), std::string::npos);
 }
 
 }  // namespace
