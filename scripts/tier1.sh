@@ -1,10 +1,13 @@
 #!/usr/bin/env bash
 # Tier-1 verification: the standard build + full test suite, then the
 # concurrency layer (thread pool + batch runner + shared-Cdf reads) rebuilt
-# and re-run under ThreadSanitizer, then a Release-mode smoke run of the
-# core micro-benchmarks gated against the committed BENCH_core.json baseline
-# (catches perf-path code that only compiles, only crashes, or only crawls
-# under optimization), then the observability smoke: fig20 run at --jobs 1
+# and re-run under ThreadSanitizer, then the visit walk, the user-metric
+# fold and its lazily built rows, time-series sampling and the per-visit
+# DNS path rebuilt and re-run under ASan+UBSan, then a Release-mode smoke
+# run of the core micro-benchmarks gated against the committed
+# BENCH_core.json baseline (catches perf-path code that only compiles, only
+# crashes, or only crawls under optimization), then the observability
+# smoke: fig20 run at --jobs 1
 # and --jobs 8 with every --*-out flag, the deterministic artifacts (metrics,
 # trace, csv, timeseries, and the profile's deterministic section) cmp'd
 # byte-for-byte, a plain run (metrics + csv only) cmp'd against the
@@ -20,6 +23,7 @@
 #
 #   scripts/tier1.sh            # all stages
 #   scripts/tier1.sh --no-tsan  # skip the TSan stage
+#   scripts/tier1.sh --no-asan  # skip the ASan+UBSan stage
 #   scripts/tier1.sh --no-perf  # skip the Release perf smoke + regression gate
 #   scripts/tier1.sh --no-obs   # skip the observability smoke stage
 #   scripts/tier1.sh --no-fault # skip the fault-injection smoke stage
@@ -28,12 +32,14 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 run_tsan=1
+run_asan=1
 run_perf=1
 run_obs=1
 run_fault=1
 for arg in "$@"; do
   case "${arg}" in
     --no-tsan) run_tsan=0 ;;
+    --no-asan) run_asan=0 ;;
     --no-perf) run_perf=0 ;;
     --no-obs) run_obs=0 ;;
     --no-fault) run_fault=0 ;;
@@ -56,6 +62,17 @@ if [[ "${run_tsan}" == "1" ]]; then
   cmake --build build-tsan -j --target cdnsim_tests
   ./build-tsan/tests/cdnsim_tests \
     --gtest_filter='ThreadPool*:BatchRunner*:RngTest.Substream*:CdfTest.ConcurrentReadsOnSharedConstCdf:FaultInjectionProperty*:VisitBatch*:Catalog*:Ring*:Pubsub*:Fanout*'
+fi
+
+if [[ "${run_asan}" == "1" ]]; then
+  echo
+  echo "== tier-1: visit walk + user-metric fold under ASan+UBSan =="
+  cmake -B build-asan -S . -DCDNSIM_SANITIZE=address >/dev/null
+  cmake --build build-asan -j --target cdnsim_tests
+  # halt_on_error makes a UBSan report fail the stage, not just print.
+  UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
+    ./build-asan/tests/cdnsim_tests \
+    --gtest_filter='*VisitBatch*:*Golden*:*UserMetric*:*TimeSeries*:EngineDns*'
 fi
 
 if [[ "${run_perf}" == "1" ]]; then

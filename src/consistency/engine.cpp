@@ -30,9 +30,8 @@ constexpr sim::EventTag kTagChurn = 5;
 constexpr sim::EventTag kTagHorizon = 6;
 constexpr sim::EventTag kTagFault = 7;    // brownout transitions
 constexpr sim::EventTag kTagRetry = 8;    // reliable-delivery deadlines
-constexpr sim::EventTag kTagVisitBatch = 9;
-constexpr sim::EventTag kTagPubsubSettle = 10;  // flow-control confirmations
-constexpr sim::EventTag kTagDeliveryBase = 11;
+constexpr sim::EventTag kTagPubsubSettle = 9;  // flow-control confirmations
+constexpr sim::EventTag kTagDeliveryBase = 10;
 constexpr std::size_t kEngineTagCount =
     kTagDeliveryBase + net::kMessageKindCount;
 
@@ -110,11 +109,10 @@ struct UpdateEngine::ServerState {
 
   const trace::AbsenceSchedule* absence = nullptr;
 
-  // Batched-visit walk state: position in the precomputed arrival arrays,
-  // the pending batch/pump event, and which of the two it is.
+  // Batched-visit walk state: position in the precomputed arrival arrays
+  // and the pending pump event (armed only while the server is blocked).
   std::size_t visit_cursor = 0;
   sim::EventHandle visit_event;
-  bool visit_pumping = false;
   // Arrival time of the first unwalked visit (+inf when the schedule is
   // exhausted or the server has no batched schedule). Maintained alongside
   // visit_cursor so the flush-before-every-state-mutation callers can skip
@@ -128,8 +126,8 @@ struct UpdateEngine::ServerState {
   // Run-length user-log records from the bulk visit walk: schedule entries
   // [begin, end) all share one (version, answered) outcome. Recording one
   // run per walk instead of one row per visit keeps the hot walk free of
-  // scattered per-user appends; materialize_user_logs() expands them into
-  // UserObservation rows once, after the run.
+  // scattered per-user appends; walk_user_rows() expands them, after the
+  // run, into the user-metric fold and (on demand) UserObservation rows.
   struct VisitLogRun {
     std::uint32_t begin;
     std::uint32_t end;
@@ -215,10 +213,6 @@ UpdateEngine::UpdateEngine(sim::Simulator& simulator,
   visit_batching_ = config_.visit_batching &&
                     config_.user_attachment == UserAttachment::kPinnedLocal &&
                     !config_.record_poll_log;
-  if (visit_batching_) {
-    CDNSIM_EXPECTS(config_.visit_batch_epoch_s > 0,
-                   "visit batch epoch must be positive");
-  }
 
   // Shift the trace so update v happens at update_time(v) + offset; all
   // engine-internal times use the shifted trace.
@@ -358,7 +352,6 @@ void UpdateEngine::bind_profiler() {
   tag_slots_[kTagHorizon] = profiler_->intern("sim.horizon");
   tag_slots_[kTagFault] = profiler_->intern("sim.fault");
   tag_slots_[kTagRetry] = profiler_->intern("sim.retry");
-  tag_slots_[kTagVisitBatch] = profiler_->intern("sim.visit_batch");
   tag_slots_[kTagPubsubSettle] = profiler_->intern("sim.pubsub_settle");
   for (std::size_t k = 0; k < net::kMessageKindCount; ++k) {
     tag_slots_[kTagDeliveryBase + k] = profiler_->intern(
@@ -420,6 +413,11 @@ void UpdateEngine::bind_timeseries() {
 void UpdateEngine::sample_timeseries() {
   const double t = ts_->next_sample_time();
   const TsColumns& c = ts_cols_;
+
+  // Unblocked servers fire no visit events: walk every backlog up to t so
+  // the visit counters cover exactly the visits before t. No state change
+  // lies between the last event and t, so each visit sees its own state.
+  for (auto& s : servers_) catch_up_visits_until(*s, t);
 
   // Consistency state. `latest` counts trace updates published strictly
   // before t; a replica is stale (its inconsistency window open) while its
@@ -504,9 +502,6 @@ void UpdateEngine::finish_timeseries() {
 }
 
 void UpdateEngine::fold_stats() {
-  if (stats_folded_) return;
-  stats_folded_ = true;
-
   const Counters& total = counters_;
   for (std::size_t m = 0; m < kUpdateMethodCount; ++m) {
     const std::string suffix(to_string(static_cast<UpdateMethod>(m)));
@@ -541,72 +536,101 @@ void UpdateEngine::fold_stats() {
   for (const auto& s : servers_) hist.merge_from(s->inconsistency);
 }
 
-void UpdateEngine::materialize_user_logs() {
-  if (!config_.record_user_logs || !visit_batching_) return;
-  const std::size_t ups = static_cast<std::size_t>(config_.users_per_server);
-  // Scratch reused across servers: only one server's users are live at a
-  // time, so the merge's write working set stays ups-sized and cache-hot.
-  std::vector<std::vector<cdn::UserObservation>> points(ups);
-  std::vector<std::size_t> cursor(ups, 0);
-  std::vector<std::uint32_t> counts(ups, 0);
-  std::vector<cdn::UserLog*> logs(ups, nullptr);
-  for (auto& sp : servers_) {
-    ServerState& s = *sp;
-    if (s.visit_log_runs.empty()) continue;
+template <typename Emit>
+void UpdateEngine::walk_user_rows(Emit&& emit) const {
+  if (!visit_batching_) {
+    for (const auto& u : users_) {
+      for (const auto& row : direct_logs_->log(u->id).observations()) {
+        emit(u->id, row);
+      }
+    }
+    return;
+  }
+  const std::size_t ups = config_.users_per_server;
+  std::vector<const std::vector<cdn::UserObservation>*> direct(ups);
+  std::vector<std::size_t> cursor(ups);
+  for (const auto& sp : servers_) {
+    const ServerState& s = *sp;
     const trace::VisitSchedule::PerServer& plan =
         visit_plan_->servers[static_cast<std::size_t>(s.id)];
-    const std::uint32_t base =
-        static_cast<std::uint32_t>(static_cast<std::size_t>(s.id) * ups);
-    std::fill(counts.begin(), counts.end(), 0u);
-    for (const auto& r : s.visit_log_runs) {
-      for (std::uint32_t j = r.begin; j < r.end; ++j) {
-        ++counts[plan.users[j] - base];
-      }
-    }
-    // Users may already hold rows added directly (pump visits, waiting
-    // users served or abandoned): move those out and merge by request
-    // time. Blocked servers run in pump mode, so a direct row and a run
-    // row never share a request time — per-user row order stays exactly
-    // the strictly-increasing sequence the per-visit path produced.
+    const auto base =
+        static_cast<cdn::UserId>(static_cast<std::size_t>(s.id) * ups);
     for (std::size_t k = 0; k < ups; ++k) {
-      logs[k] = &user_logs_->log(static_cast<cdn::UserId>(base + k));
-      if (counts[k] == 0) continue;  // direct rows (if any) stay as-is
-      points[k] = logs[k]->take();
+      direct[k] = &direct_logs_->log(base + static_cast<cdn::UserId>(k))
+                       .observations();
       cursor[k] = 0;
-      logs[k]->reserve(points[k].size() + counts[k]);
     }
-    cdn::UserObservation obs;
-    obs.server = s.id;
-    obs.redirected = false;
+    // Direct rows (pump visits, waiting users served or abandoned) merge
+    // by request time. Blocked servers run in pump mode, so a direct row
+    // and a run row never share a request time — per-user row order stays
+    // exactly the strictly-increasing sequence the per-visit path produced.
+    const auto emit_direct_before = [&](std::size_t k, sim::SimTime t) {
+      const std::vector<cdn::UserObservation>& rows = *direct[k];
+      std::size_t& di = cursor[k];
+      while (di < rows.size() && rows[di].request_time < t) {
+        emit(static_cast<cdn::UserId>(base + k), rows[di++]);
+      }
+    };
+    cdn::UserObservation row;
+    row.server = s.id;
+    row.redirected = false;
     for (const auto& r : s.visit_log_runs) {
-      obs.version = r.version;
-      obs.answered = r.answered;
+      row.version = r.version;
+      row.answered = r.answered;
       for (std::uint32_t j = r.begin; j < r.end; ++j) {
         const std::size_t k = plan.users[j] - base;
-        const sim::SimTime t = plan.times[j];
-        std::vector<cdn::UserObservation>& pts = points[k];
-        std::size_t& pi = cursor[k];
-        while (pi < pts.size() && pts[pi].request_time < t) {
-          logs[k]->add(pts[pi++]);
-        }
-        obs.request_time = obs.serve_time = t;
-        logs[k]->add(obs);
+        row.request_time = row.serve_time = plan.times[j];
+        emit_direct_before(k, row.request_time);
+        emit(static_cast<cdn::UserId>(base + k), row);
       }
     }
     for (std::size_t k = 0; k < ups; ++k) {
-      for (std::size_t pi = cursor[k]; pi < points[k].size(); ++pi) {
-        logs[k]->add(points[k][pi]);
-      }
-      points[k].clear();
+      emit_direct_before(k, std::numeric_limits<sim::SimTime>::infinity());
     }
-    s.visit_log_runs.clear();
-    s.visit_log_runs.shrink_to_fit();
   }
 }
 
+void UpdateEngine::fold_user_metrics() {
+  struct Accumulator {
+    Version next_needed = 1;  // first version this user has not yet seen
+    Version max_seen = 0;
+    std::size_t count = 0;
+    double sum = 0;
+  };
+  std::vector<Accumulator> acc(users_.size());
+  const Version final_version = updates_->update_count();
+  std::uint64_t total = 0;
+  std::uint64_t stale = 0;
+  walk_user_rows([&](cdn::UserId user, const cdn::UserObservation& obs) {
+    if (!obs.answered) return;
+    Accumulator& a = acc[static_cast<std::size_t>(user)];
+    ++total;
+    if (obs.version < a.max_seen) ++stale;
+    a.max_seen = std::max(a.max_seen, obs.version);
+    // First serve time at which the user saw version >= v.
+    while (a.next_needed <= obs.version && a.next_needed <= final_version) {
+      a.sum += obs.serve_time - updates_->update_time(a.next_needed);
+      ++a.next_needed;
+      ++a.count;
+    }
+  });
+  user_avg_inconsistency_.clear();
+  user_avg_inconsistency_.reserve(acc.size());
+  for (const Accumulator& a : acc) {
+    user_avg_inconsistency_.push_back(
+        a.count == 0 ? 0.0 : a.sum / static_cast<double>(a.count));
+  }
+  user_observed_inconsistency_fraction_ =
+      total == 0 ? 0.0
+                 : static_cast<double>(stale) / static_cast<double>(total);
+}
+
 void UpdateEngine::publish_run_stats() {
-  materialize_user_logs();
-  fold_stats();
+  if (!stats_folded_) {
+    stats_folded_ = true;
+    fold_stats();
+    fold_user_metrics();
+  }
 
   const sim::EventQueue::Stats& qs = sim_->queue_stats();
   metrics_.gauge("sim.events_scheduled").set(static_cast<double>(qs.pushes));
@@ -1625,7 +1649,7 @@ void UpdateEngine::give_up_fetch(ServerState& s) {
     obs.server = s.id;
     obs.redirected = w.redirected;
     obs.answered = false;
-    if (config_.record_user_logs) user_logs_->log(w.user->id).add(obs);
+    if (config_.record_user_logs) direct_logs_->log(w.user->id).add(obs);
   }
   s.waiting_users.clear();
   s.pending_child_fetches.clear();
@@ -1702,7 +1726,7 @@ void UpdateEngine::fail_node(ServerState& s) {
     obs.server = s.id;
     obs.redirected = w.redirected;
     obs.answered = false;
-    if (config_.record_user_logs) user_logs_->log(w.user->id).add(obs);
+    if (config_.record_user_logs) direct_logs_->log(w.user->id).add(obs);
   }
   s.waiting_users.clear();
   s.pending_child_fetches.clear();
@@ -1826,7 +1850,7 @@ void UpdateEngine::start_users() {
   const bool dns_mode = config_.user_attachment == UserAttachment::kDnsCache;
   const std::size_t total_users =
       dns_mode ? config_.dns_user_count : config_.users_per_server * servers_.size();
-  user_logs_ = std::make_unique<cdn::UserPopulationLog>(total_users);
+  direct_logs_ = std::make_unique<cdn::UserPopulationLog>(total_users);
   users_.reserve(total_users);
 
   std::vector<net::Placement> dns_placements;
@@ -1867,13 +1891,13 @@ void UpdateEngine::start_users() {
     visit_plan_ = std::make_unique<trace::VisitSchedule>(trace::build_visit_schedule(
         servers_.size(), config_.users_per_server, config_.user_poll_period_s,
         config_.user_start_window_s, end_time_, rng_));
+    // No server starts blocked, so none needs a visit event yet.
     for (auto& s : servers_) {
       const auto& times =
           visit_plan_->servers[static_cast<std::size_t>(s->id)].times;
       s->next_visit_time =
           times.empty() ? std::numeric_limits<sim::SimTime>::infinity()
                         : times.front();
-      schedule_visit_event(*s);
     }
   }
 }
@@ -1901,7 +1925,7 @@ void UpdateEngine::user_visit(UserState& u) {
     obs.version = 0;
     obs.redirected = redirected;
     obs.answered = false;
-    if (config_.record_user_logs) user_logs_->log(u.id).add(obs);
+    if (config_.record_user_logs) direct_logs_->log(u.id).add(obs);
     if (config_.record_poll_log) {
       poll_log_.add({target, sim_->now(), 0, /*answered=*/false});
     }
@@ -1932,7 +1956,7 @@ void UpdateEngine::deliver_to_user(ServerState& s, UserState& u,
   obs.version = version_of(s.id);
   obs.redirected = redirected;
   obs.answered = true;
-  if (config_.record_user_logs) user_logs_->log(u.id).add(obs);
+  if (config_.record_user_logs) direct_logs_->log(u.id).add(obs);
   if (config_.record_poll_log) {
     poll_log_.add({s.id, serve_time, version_of(s.id), /*answered=*/true});
   }
@@ -2042,49 +2066,23 @@ void UpdateEngine::catch_up_visits_until(ServerState& s, sim::SimTime upto) {
 }
 
 // Called immediately AFTER any state mutation that may change blockedness:
-// re-arms the server's next visit event in the right mode.
+// arms the pump event when the server became blocked, drops it when it
+// became unblocked (a pending visit event exists exactly while pumping).
 void UpdateEngine::resync_visits(ServerState& s) {
   if (!visit_batching_) return;
-  const trace::VisitSchedule::PerServer& plan =
-      visit_plan_->servers[static_cast<std::size_t>(s.id)];
-  if (s.visit_cursor >= plan.times.size()) {
-    if (s.visit_event.pending()) s.visit_event.cancel();
-    return;
-  }
-  const bool pump = visit_pump_needed(s);
-  if (pump == s.visit_pumping && s.visit_event.pending()) return;
+  if (visit_pump_needed(s) == s.visit_event.pending()) return;
   schedule_visit_event(s);
 }
 
 void UpdateEngine::schedule_visit_event(ServerState& s) {
-  if (s.visit_event.pending()) s.visit_event.cancel();
+  s.visit_event.cancel();
   const trace::VisitSchedule::PerServer& plan =
       visit_plan_->servers[static_cast<std::size_t>(s.id)];
-  if (s.visit_cursor >= plan.times.size()) {
-    s.visit_pumping = false;
-    return;
-  }
-  const sim::SimTime next = plan.times[s.visit_cursor];
-  s.visit_pumping = visit_pump_needed(s);
+  if (s.visit_cursor >= plan.times.size() || !visit_pump_needed(s)) return;
+  // Blocked: the next visit must fire at its exact arrival time.
   ServerState* sp = &s;
-  if (s.visit_pumping) {
-    // Blocked: the next visit must fire at its exact arrival time.
-    s.visit_event = sim_->at(next, kTagUserVisit,
-                                    [this, sp] { pump_visit(*sp); });
-    return;
-  }
-  // Unblocked: one flush event at the epoch boundary after the next visit.
-  const double epoch = config_.visit_batch_epoch_s;
-  sim::SimTime boundary = (std::floor(next / epoch) + 1.0) * epoch;
-  if (boundary <= next) boundary = next + epoch;
-  if (boundary >= end_time_) return;  // the horizon flush covers the tail
-  s.visit_event = sim_->at(boundary, kTagVisitBatch,
-                                  [this, sp] { visit_batch_event(*sp); });
-}
-
-void UpdateEngine::visit_batch_event(ServerState& s) {
-  catch_up_visits(s);
-  schedule_visit_event(s);
+  s.visit_event = sim_->at(plan.times[s.visit_cursor], kTagUserVisit,
+                           [this, sp] { pump_visit(*sp); });
 }
 
 // One visit at its exact arrival time — the blocked-server slow path,
@@ -2111,7 +2109,7 @@ void UpdateEngine::pump_visit(ServerState& s) {
       obs.version = 0;
       obs.redirected = false;
       obs.answered = false;
-      user_logs_->log(u.id).add(obs);
+      direct_logs_->log(u.id).add(obs);
     }
   } else {
     serve_user(s, u, now, false);
@@ -2126,8 +2124,7 @@ void UpdateEngine::horizon_server(ServerState& s) {
   if (s.adapt_timer) s.adapt_timer->stop();
   if (!visit_batching_) return;
   catch_up_visits_until(s, end_time_);
-  if (s.visit_event.pending()) s.visit_event.cancel();
-  s.visit_pumping = false;
+  s.visit_event.cancel();
 }
 
 // ---------------------------------------------------------------------------
@@ -2201,27 +2198,23 @@ std::vector<double> UpdateEngine::server_avg_inconsistency() const {
   return out;
 }
 
-std::vector<double> UpdateEngine::user_avg_inconsistency() const {
-  std::vector<double> out;
-  out.reserve(users_.size());
-  const Version final_version = updates_->update_count();
-  for (const auto& u : users_) {
-    const auto& observations = user_logs_->log(u->id).observations();
-    // First serve time at which the user saw version >= v.
-    double sum = 0;
-    std::size_t count = 0;
-    Version next_needed = 1;
-    for (const auto& obs : observations) {
-      if (!obs.answered) continue;
-      while (next_needed <= obs.version && next_needed <= final_version) {
-        sum += obs.serve_time - updates_->update_time(next_needed);
-        ++next_needed;
-        ++count;
-      }
-    }
-    out.push_back(count == 0 ? 0.0 : sum / static_cast<double>(count));
+const cdn::UserPopulationLog& UpdateEngine::user_logs() const {
+  if (!visit_batching_) return *direct_logs_;
+  CDNSIM_EXPECTS(stats_folded_,
+                 "user_logs() is valid after run() or publish_run_stats()");
+  if (merged_logs_ == nullptr) {
+    auto logs = std::make_unique<cdn::UserPopulationLog>(users_.size());
+    walk_user_rows([&](cdn::UserId user, const cdn::UserObservation& obs) {
+      logs->log(user).add(obs);
+    });
+    merged_logs_ = std::move(logs);
   }
-  return out;
+  return *merged_logs_;
+}
+
+std::vector<double> UpdateEngine::user_avg_inconsistency() const {
+  CDNSIM_EXPECTS(stats_folded_, "user metrics are folded by publish_run_stats()");
+  return user_avg_inconsistency_;
 }
 
 std::vector<double> UpdateEngine::per_server_max_user_inconsistency() const {
@@ -2239,18 +2232,8 @@ std::vector<double> UpdateEngine::per_server_max_user_inconsistency(
 }
 
 double UpdateEngine::user_observed_inconsistency_fraction() const {
-  std::uint64_t total = 0;
-  std::uint64_t stale = 0;
-  for (const auto& u : users_) {
-    Version max_seen = 0;
-    for (const auto& obs : user_logs_->log(u->id).observations()) {
-      if (!obs.answered) continue;
-      ++total;
-      if (obs.version < max_seen) ++stale;
-      max_seen = std::max(max_seen, obs.version);
-    }
-  }
-  return total == 0 ? 0.0 : static_cast<double>(stale) / static_cast<double>(total);
+  CDNSIM_EXPECTS(stats_folded_, "user metrics are folded by publish_run_stats()");
+  return user_observed_inconsistency_fraction_;
 }
 
 }  // namespace cdnsim::consistency

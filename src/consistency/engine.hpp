@@ -33,10 +33,10 @@
 //
 // Batched visits (DESIGN.md "Batched user visits", default for the pinned
 // attachment): user arrivals are precomputed into per-server SoA arrays
-// (trace::VisitSchedule) and walked in bulk — one batch event per server
-// per epoch plus a catch-up at every server state change — instead of one
-// event per visit. The walk is observationally identical to the per-visit
-// path; only the sim.event* gauges (event counts) change.
+// (trace::VisitSchedule) and walked in bulk instead of one event per visit;
+// the walk keeps run-length records, not rows. The result is
+// observationally identical to the per-visit path; only the sim.event*
+// gauges (event counts) change.
 #pragma once
 
 #include <array>
@@ -108,17 +108,16 @@ struct EngineConfig {
   net::PlacementConfig dns_user_placement;
 
   /// Batched user-visit processing: precompute per-server arrival arrays
-  /// and walk them in bulk instead of one simulator event per visit.
+  /// and walk them in bulk instead of one simulator event per visit; only a
+  /// blocked server (visits must fetch) fires one event per visit. User
+  /// metrics are folded from the walk's run-length records, and
+  /// user_logs() builds rows on demand.
   /// Effective only for kPinnedLocal without a poll log (other shapes fall
   /// back to the per-visit path). Observationally identical to the legacy
   /// path — same draws, same observations, same counters — except for the
   /// sim.event* gauges, which count the (far fewer) events actually fired.
   /// The equivalence is enforced by visit_batch_equivalence_test.
   bool visit_batching = true;
-  /// Batch flush cadence (s). Purely an execution knob: results are
-  /// flushed at every server state change and at the horizon regardless,
-  /// so any value > 0 yields identical output.
-  sim::SimTime visit_batch_epoch_s = 20.0;
 
   /// Shift applied to all trace update times (the paper starts updates at
   /// t = 60 s, after users began visiting).
@@ -256,7 +255,9 @@ class UpdateEngine {
   const Infrastructure& infrastructure() const { return infra_; }
   const net::TrafficMeter& meter() const { return meter_; }
   const cdn::ReplicaRecorder& recorder(topology::NodeId server) const;
-  const cdn::UserPopulationLog& user_logs() const { return *user_logs_; }
+  /// Per-user observation rows. On the batched path they are built on the
+  /// first call (after run()) and cached; not safe to call concurrently.
+  const cdn::UserPopulationLog& user_logs() const;
   const trace::PollLog& poll_log() const { return poll_log_; }
   std::size_t user_count() const { return users_.size(); }
   sim::SimTime end_time() const { return end_time_; }
@@ -268,7 +269,8 @@ class UpdateEngine {
 
   /// Per-server average inconsistency (Figs. 14a/15a/19/20).
   std::vector<double> server_avg_inconsistency() const;
-  /// Per-user average first-seen inconsistency (Figs. 14b/15b).
+  /// Per-user average first-seen inconsistency (Figs. 14b/15b), folded by
+  /// publish_run_stats() like user_observed_inconsistency_fraction().
   std::vector<double> user_avg_inconsistency() const;
   /// Largest per-user average on each server (the paper plots per node).
   std::vector<double> per_server_max_user_inconsistency() const;
@@ -292,8 +294,8 @@ class UpdateEngine {
   const obs::MetricsRegistry& metrics() const { return metrics_; }
   /// Recorded trace events (empty unless config.record_trace_events).
   const obs::TraceRecorder& trace_events() const { return trace_; }
-  /// Folds the run counters and copies simulator/meter/uplink end-of-run
-  /// totals into metrics(). Idempotent; called by run().
+  /// Folds the run counters and user metrics, and copies simulator/meter/
+  /// uplink end-of-run totals into metrics(). Idempotent; called by run().
   void publish_run_stats();
 
  private:
@@ -446,10 +448,12 @@ class UpdateEngine {
   void bind_timeseries();
   void sample_timeseries();
   void finish_timeseries();
-  // Expands the bulk walk's run-length visit records into per-user
-  // UserObservation rows (merged by request time with directly-added
-  // rows); runs once from publish_run_stats(), no-op in legacy mode.
-  void materialize_user_logs();
+  // Calls emit(user, row) for every user row in per-user request-time
+  // order (batched: run-length records merged with the direct rows) — the
+  // one merge walk behind the user-metric fold and user_logs().
+  template <typename Emit>
+  void walk_user_rows(Emit&& emit) const;
+  void fold_user_metrics();  // once, from publish_run_stats()
 
   // churn
   void schedule_next_failure();
@@ -466,18 +470,16 @@ class UpdateEngine {
   void deliver_to_user(ServerState& s, UserState& u, sim::SimTime request_time,
                        sim::SimTime serve_time, bool redirected);
 
-  // users — batched path (trace::VisitSchedule). A server's pending visits
-  // are walked in bulk whenever its user-visible state is about to change
-  // (catch_up_visits) and at epoch boundaries (visit_batch_event); while
-  // the server is "blocked" (invalidation pending, visits must fetch) the
-  // exact per-visit timing matters, so resync_visits switches the server
-  // to a per-visit pump event at the precise next arrival.
+  // users — batched path (trace::VisitSchedule). Pending visits are walked
+  // in bulk before a server's user-visible state changes (catch_up_visits),
+  // at time-series sample points and at the horizon. While the server is
+  // "blocked" (invalidation pending, visits must fetch) the exact per-visit
+  // timing matters, so resync_visits arms a pump event at the next arrival.
   bool visit_pump_needed(const ServerState& s) const;
   void catch_up_visits(ServerState& s);
   void catch_up_visits_until(ServerState& s, sim::SimTime upto);
   void resync_visits(ServerState& s);
   void schedule_visit_event(ServerState& s);
-  void visit_batch_event(ServerState& s);
   void pump_visit(ServerState& s);
   void horizon_server(ServerState& s);
 
@@ -529,7 +531,12 @@ class UpdateEngine {
   /// Bumped by rebuild_topics(); stale confirmations are dropped.
   std::uint64_t pubsub_generation_ = 0;
   std::vector<std::unique_ptr<UserState>> users_;
-  std::unique_ptr<cdn::UserPopulationLog> user_logs_;
+  /// Rows added one by one (batched path: pump visits and waiting users).
+  std::unique_ptr<cdn::UserPopulationLog> direct_logs_;
+  /// Batched path: the full rows, built by the first user_logs() call.
+  mutable std::unique_ptr<cdn::UserPopulationLog> merged_logs_;
+  std::vector<double> user_avg_inconsistency_;  // fold_user_metrics()
+  double user_observed_inconsistency_fraction_ = 0;
   std::vector<trace::AbsenceSchedule> absences_;
   SubscriptionState provider_subs_;
   trace::PollLog poll_log_;

@@ -13,6 +13,8 @@
 //    counters, and the closing sample must reproduce the end-of-run
 //    converged_server_fraction exactly — the contract check_obs.py
 //    --timeseries and the ext_convergence_curves shape checks ride on.
+// 4. The visit columns match the closed form of the users' fixed-period
+//    polling, so they count visits, not the engine's visit walks.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -164,6 +166,57 @@ TEST(TimeSeriesSamplingTest, DeltaTotalsReconcileWithFinalCounters) {
     EXPECT_DOUBLE_EQ(total_of(name),
                      static_cast<double>(m.counter(name).value))
         << name;
+  }
+}
+
+TEST(TimeSeriesSamplingTest, VisitColumnsMatchClosedForm) {
+  // Every user visits once per period, so once all users have started each
+  // full sample interval holds servers x users x sample_s / period visits,
+  // whatever the method. Every server is absent during [300, 600), on the
+  // sample grid: those intervals' visits all go unanswered, no others do.
+  constexpr std::size_t kServers = 20;
+  constexpr double kSample = 30.0;
+  constexpr double kAbsentFrom = 300.0;
+  constexpr double kAbsentTo = 600.0;
+  const auto scenario = small_scenario(kServers);
+  const auto updates = short_game();
+  std::vector<trace::AbsenceSchedule> absences(kServers);
+  for (auto& a : absences) a.add(kAbsentFrom, kAbsentTo);
+  for (const auto method :
+       {UpdateMethod::kTtl, UpdateMethod::kPush, UpdateMethod::kInvalidation,
+        UpdateMethod::kSelfAdaptive}) {
+    SCOPED_TRACE(std::string(to_string(method)));
+    EngineConfig config = base_config(method);
+    config.timeseries_sample_s = kSample;
+    const core::SimulationResult r =
+        core::run_simulation(*scenario.nodes, updates, config, absences);
+    const obs::TimeSeriesReport& ts = r.timeseries;
+    std::size_t visits = ts.names.size();
+    std::size_t unanswered = ts.names.size();
+    for (std::size_t c = 0; c < ts.names.size(); ++c) {
+      if (ts.names[c] == "engine.user_visits") visits = c;
+      if (ts.names[c] == "engine.user_visits_unanswered") unanswered = c;
+    }
+    ASSERT_LT(visits, ts.names.size());
+    ASSERT_LT(unanswered, ts.names.size());
+
+    const double per_interval = static_cast<double>(
+        kServers * config.users_per_server) * kSample /
+        config.user_poll_period_s;
+    const double horizon =
+        updates.duration() + config.trace_offset_s + config.tail_s;
+    std::size_t checked = 0;
+    for (const auto& row : ts.rows) {
+      const double end = row[0];
+      const double start = end - kSample;
+      if (start < config.user_start_window_s || end > horizon) continue;
+      const bool absent = start >= kAbsentFrom && end <= kAbsentTo;
+      EXPECT_EQ(row[visits + 1], per_interval) << "t=" << end;
+      EXPECT_EQ(row[unanswered + 1], absent ? per_interval : 0.0)
+          << "t=" << end;
+      ++checked;
+    }
+    EXPECT_GT(checked, 30u);
   }
 }
 
