@@ -2,8 +2,10 @@
 # Tier-1 verification: the standard build + full test suite, then the
 # concurrency layer (thread pool + batch runner + shared-Cdf reads) rebuilt
 # and re-run under ThreadSanitizer, then the visit walk, the user-metric
-# fold and its lazily built rows, time-series sampling and the per-visit
-# DNS path rebuilt and re-run under ASan+UBSan, then a Release-mode smoke
+# fold and its lazily built rows, time-series sampling, the per-visit
+# DNS path and the delivery path (pub/sub fan-out, reliable delivery,
+# fault injection, transport timing) rebuilt and re-run under ASan+UBSan,
+# then a Release-mode smoke
 # run of the core micro-benchmarks gated against the committed
 # BENCH_core.json baseline (catches perf-path code that only compiles, only
 # crashes, or only crawls under optimization), then the observability
@@ -66,13 +68,13 @@ fi
 
 if [[ "${run_asan}" == "1" ]]; then
   echo
-  echo "== tier-1: visit walk + user-metric fold under ASan+UBSan =="
+  echo "== tier-1: visit walk, user-metric fold + delivery path under ASan+UBSan =="
   cmake -B build-asan -S . -DCDNSIM_SANITIZE=address >/dev/null
   cmake --build build-asan -j --target cdnsim_tests
   # halt_on_error makes a UBSan report fail the stage, not just print.
   UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
     ./build-asan/tests/cdnsim_tests \
-    --gtest_filter='*VisitBatch*:*Golden*:*UserMetric*:*TimeSeries*:EngineDns*'
+    --gtest_filter='*VisitBatch*:*Golden*:*UserMetric*:*TimeSeries*:EngineDns*:*Pubsub*:ReliableDelivery*:FaultInjection*:EngineTiming*'
 fi
 
 if [[ "${run_perf}" == "1" ]]; then

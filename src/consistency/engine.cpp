@@ -261,7 +261,12 @@ UpdateEngine::UpdateEngine(sim::Simulator& simulator,
   CDNSIM_EXPECTS(config_.pubsub.log_capacity > 0 &&
                      config_.pubsub.catchup_retry_s > 0,
                  "pubsub needs log_capacity > 0 and catchup_retry_s > 0");
-  flow_ = pubsub::FlowController(config_.pubsub.flow_window);
+  // flow_window is inert on unicast: the provider-rooted topic is walked
+  // without credits, exactly like a flow-off relay.
+  flow_ = pubsub::FlowController(
+      config_.infrastructure.kind == InfrastructureKind::kUnicast
+          ? 0
+          : config_.pubsub.flow_window);
 
   bind_metrics();
   bind_timeseries();
@@ -276,7 +281,7 @@ UpdateEngine::UpdateEngine(sim::Simulator& simulator,
     servers_.push_back(std::move(s));
   }
   versions_.assign(servers_.size(), 0);
-  rebuild_child_lists();
+  rebuild_topics();
 
   end_time_ = updates_->duration() + config_.tail_s;
 }
@@ -670,11 +675,15 @@ void UpdateEngine::publish_run_stats() {
   metrics_.gauge("engine.failures_injected")
       .set(static_cast<double>(failures_injected_));
 
-  // Pub/sub gauges: topic membership and the end-of-run lagging residue
-  // (stranded subscribers that never confirmed the log head).
+  // Pub/sub gauges: relay-tree membership and the end-of-run lagging
+  // residue (stranded subscribers that never confirmed the log head).
+  // Unicast servers register with no relay — the provider's topic is the
+  // server list itself — so they count no subscription.
   std::uint64_t subscriptions = 0;
-  for (const NodeTopics& t : topics_) {
-    subscriptions += t.content.size() + t.notice.size();
+  if (config_.infrastructure.kind != InfrastructureKind::kUnicast) {
+    for (const NodeTopics& t : topics_) {
+      subscriptions += t.content.size() + t.notice.size();
+    }
   }
   metrics_.gauge("pubsub.subscriptions").set(static_cast<double>(subscriptions));
   metrics_.gauge("pubsub.lagging_subscribers")
@@ -743,6 +752,32 @@ void UpdateEngine::record_injected_drop(bool partitioned, NodeId to) {
   }
 }
 
+// The one wire step every transmission takes: uplink serialization and
+// queueing, the latency draw, the meter, then the injector's verdict. A
+// dropped message has already paid the uplink and the meter: it was sent,
+// then lost in flight. What happens on arrival is the caller's policy.
+UpdateEngine::Wire UpdateEngine::wire(NodeId from, NodeId to,
+                                      net::MessageKind kind, double size_kb) {
+  obs::ProfileScope scope(profiler_, ps_send_);
+  const sim::SimTime now = sim_->now();
+  const sim::SimTime depart = uplink_of(from).reserve(now, size_kb);
+  const sim::SimTime delay = draw_latency(from, to);
+  meter_.record(kind, from, nodes_->distance_km(from, to), size_kb);
+  Wire w;
+  w.arrival = depart + delay;
+  if (fault::Injector* injector = injector_.get()) {
+    const fault::Injector::Decision d = injector->decide(from, to, now);
+    if (d.drop) {
+      record_injected_drop(d.partitioned, to);
+      w.lost = true;
+      return w;
+    }
+    w.arrival += d.extra_delay_s;
+    if (d.duplicate) w.duplicate = w.arrival + d.duplicate_extra_delay_s;
+  }
+  return w;
+}
+
 void UpdateEngine::send(NodeId from, NodeId to, net::MessageKind kind,
                         double size_kb, sim::EventAction on_delivery) {
   if (config_.reliable.enabled && reliable_kind(kind)) {
@@ -752,87 +787,24 @@ void UpdateEngine::send(NodeId from, NodeId to, net::MessageKind kind,
   send_unreliable(from, to, kind, size_kb, std::move(on_delivery));
 }
 
-void UpdateEngine::send_unreliable(NodeId from, NodeId to,
-                                   net::MessageKind kind, double size_kb,
-                                   sim::EventAction on_delivery) {
-  obs::ProfileScope scope(profiler_, ps_send_);
-  const sim::SimTime now = sim_->now();
-  const sim::SimTime depart = uplink_of(from).reserve(now, size_kb);
-  const sim::SimTime delay = draw_latency(from, to);
-  meter_.record(kind, from, nodes_->distance_km(from, to), size_kb);
-  sim::SimTime arrival = depart + delay;
-
-  if (fault::Injector* injector = injector_.get()) {
-    const fault::Injector::Decision d = injector->decide(from, to, now);
-    // A dropped message has already paid the uplink and the meter: it was
-    // sent, then lost in flight.
-    if (d.drop) {
-      record_injected_drop(d.partitioned, to);
-      return;
-    }
-    arrival += d.extra_delay_s;
-    if (d.duplicate) {
-      ++counters_.fault_duplicated;
-      // EventAction is move-only; both copies run the same shared action
-      // (at-least-once delivery of an unreliable network).
-      auto shared = std::make_shared<sim::EventAction>(std::move(on_delivery));
-      deliver_at(to, kind, arrival, [shared] { (*shared)(); });
-      deliver_at(to, kind, arrival + d.duplicate_extra_delay_s,
-                 [shared] { (*shared)(); });
-      return;
-    }
+UpdateEngine::Wire UpdateEngine::send_unreliable(NodeId from, NodeId to,
+                                                 net::MessageKind kind,
+                                                 double size_kb,
+                                                 sim::EventAction on_delivery) {
+  const Wire w = wire(from, to, kind, size_kb);
+  if (w.lost) return w;
+  if (w.duplicate) {
+    ++counters_.fault_duplicated;
+    // EventAction is move-only; both copies run the same shared action
+    // (at-least-once delivery of an unreliable network).
+    auto shared = std::make_shared<sim::EventAction>(std::move(on_delivery));
+    deliver_at(to, kind, w.arrival, [shared] { (*shared)(); });
+    deliver_at(to, kind, *w.duplicate, [shared] { (*shared)(); });
+    return w;
   }
-  deliver_at(to, kind, arrival, std::move(on_delivery));
+  deliver_at(to, kind, w.arrival, std::move(on_delivery));
+  return w;
 }
-
-// One fan-out of unreliable messages from a single sender, with the
-// per-message engine lookups of send_unreliable hoisted out of the child
-// loop: one clock read and one uplink / injector resolve. Per-child work
-// keeps the exact reserve -> latency-draw -> meter -> injector sequence of
-// send_unreliable, so every RNG draw and floating-point accumulation is
-// bit-identical to a loop of individual send_unreliable calls — only
-// redundant lookups and the per-message profile scope are amortized. Sim
-// time cannot advance during a synchronous fan-out, so the single `now`
-// matches what each send would have read.
-struct UpdateEngine::FanoutBatch {
-  UpdateEngine& e;
-  const NodeId from;
-  const sim::SimTime now;
-  net::Uplink& uplink;
-  fault::Injector* const injector;
-
-  FanoutBatch(UpdateEngine& engine, NodeId sender)
-      : e(engine),
-        from(sender),
-        now(e.sim_->now()),
-        uplink(e.uplink_of(sender)),
-        injector(e.injector_.get()) {}
-
-  void send(NodeId to, net::MessageKind kind, double size_kb,
-            sim::EventAction on_delivery) {
-    const sim::SimTime depart = uplink.reserve(now, size_kb);
-    const sim::SimTime delay = e.draw_latency(from, to);
-    e.meter_.record(kind, from, e.nodes_->distance_km(from, to), size_kb);
-    sim::SimTime arrival = depart + delay;
-    if (injector != nullptr) {
-      const fault::Injector::Decision d = injector->decide(from, to, now);
-      if (d.drop) {
-        e.record_injected_drop(d.partitioned, to);
-        return;
-      }
-      arrival += d.extra_delay_s;
-      if (d.duplicate) {
-        ++e.counters_.fault_duplicated;
-        auto shared = std::make_shared<sim::EventAction>(std::move(on_delivery));
-        e.deliver_at(to, kind, arrival, [shared] { (*shared)(); });
-        e.deliver_at(to, kind, arrival + d.duplicate_extra_delay_s,
-                     [shared] { (*shared)(); });
-        return;
-      }
-    }
-    e.deliver_at(to, kind, arrival, std::move(on_delivery));
-  }
-};
 
 // ---------------------------------------------------------------------------
 // Reliable delivery
@@ -851,31 +823,15 @@ void UpdateEngine::send_reliable(NodeId from, NodeId to, net::MessageKind kind,
 
 void UpdateEngine::reliable_attempt(const std::shared_ptr<ReliableState>& st,
                                     int attempt) {
-  obs::ProfileScope scope(profiler_, ps_send_);
   const sim::SimTime now = sim_->now();
-  const sim::SimTime depart = uplink_of(st->from).reserve(now, st->size_kb);
-  const sim::SimTime delay = draw_latency(st->from, st->to);
-  meter_.record(st->kind, st->from, nodes_->distance_km(st->from, st->to),
-                st->size_kb);
-  sim::SimTime arrival = depart + delay;
-
-  bool lost = false;
-  if (fault::Injector* injector = injector_.get()) {
-    const fault::Injector::Decision d = injector->decide(st->from, st->to, now);
-    if (d.drop) {
-      lost = true;
-      record_injected_drop(d.partitioned, st->to);
-    } else {
-      arrival += d.extra_delay_s;
-      if (d.duplicate) {
-        ++counters_.fault_duplicated;
-        deliver_at(st->to, st->kind, arrival + d.duplicate_extra_delay_s,
-                   [this, st] { reliable_deliver(st); });
-      }
-    }
+  const Wire w = wire(st->from, st->to, st->kind, st->size_kb);
+  if (w.duplicate) {
+    ++counters_.fault_duplicated;
+    deliver_at(st->to, st->kind, *w.duplicate,
+               [this, st] { reliable_deliver(st); });
   }
-  if (!lost) {
-    deliver_at(st->to, st->kind, arrival,
+  if (!w.lost) {
+    deliver_at(st->to, st->kind, w.arrival,
                [this, st] { reliable_deliver(st); });
   }
 
@@ -923,27 +879,13 @@ void UpdateEngine::reliable_deliver(const std::shared_ptr<ReliableState>& st) {
 }
 
 void UpdateEngine::send_ack(const std::shared_ptr<ReliableState>& st) {
-  obs::ProfileScope scope(profiler_, ps_send_);
   // The ack travels to -> from; st->to is the sender here.
-  const sim::SimTime now = sim_->now();
-  const sim::SimTime depart =
-      uplink_of(st->to).reserve(now, config_.light_packet_kb);
-  const sim::SimTime delay = draw_latency(st->to, st->from);
-  meter_.record(net::MessageKind::kAck, st->to,
-                nodes_->distance_km(st->to, st->from),
-                config_.light_packet_kb);
-  sim::SimTime arrival = depart + delay;
-  if (fault::Injector* injector = injector_.get()) {
-    const fault::Injector::Decision d = injector->decide(st->to, st->from, now);
-    if (d.drop) {
-      record_injected_drop(d.partitioned, st->from);
-      return;
-    }
-    arrival += d.extra_delay_s;
-    // A duplicated ack is indistinguishable from one: setting `acked` twice
-    // is harmless, so the duplicate is simply not scheduled.
-  }
-  deliver_at(st->from, net::MessageKind::kAck, arrival,
+  const Wire w = wire(st->to, st->from, net::MessageKind::kAck,
+                      config_.light_packet_kb);
+  if (w.lost) return;
+  // A duplicated ack is indistinguishable from one: setting `acked` twice
+  // is harmless, so the duplicate is neither scheduled nor counted.
+  deliver_at(st->from, net::MessageKind::kAck, w.arrival,
              [this, st] { on_ack(st); });
 }
 
@@ -982,37 +924,6 @@ Version UpdateEngine::node_version(NodeId node) {
   return version_of(node);
 }
 
-// Partition every node's children once by delivery role, preserving
-// children_of order inside each list. notify_children interleaves plain
-// invalidation children with subscription-gated adaptive ones in that
-// order, so a single `notice` list (with a gated flag) keeps the send —
-// and therefore uplink/RNG — sequence byte-identical to the old dynamic
-// method_of dispatch.
-void UpdateEngine::rebuild_child_lists() {
-  child_lists_.assign(servers_.size() + 1, {});
-  for (NodeId node = kProviderNode; node < static_cast<NodeId>(servers_.size());
-       ++node) {
-    ChildLists& lists = child_lists_[static_cast<std::size_t>(node + 1)];
-    for (NodeId c : infra_.children_of(node)) {
-      switch (infra_.method_of(c)) {
-        case UpdateMethod::kPush:
-          lists.push.push_back(c);
-          break;
-        case UpdateMethod::kInvalidation:
-          lists.notice.push_back({c, /*gated=*/false});
-          break;
-        case UpdateMethod::kSelfAdaptive:
-        case UpdateMethod::kRateAdaptive:
-          lists.notice.push_back({c, /*gated=*/true});
-          break;
-        default:
-          break;  // TTL-family children pull; nothing to deliver
-      }
-    }
-  }
-  rebuild_topics();
-}
-
 void UpdateEngine::acquire_version(ServerState& s, Version v) {
   if (v <= version_of(s.id)) return;
   obs::ProfileScope scope(profiler_, ps_version_);
@@ -1042,98 +953,37 @@ void UpdateEngine::acquire_version(ServerState& s, Version v) {
   resync_visits(s);
 }
 
-/// Sends invalidation notices for version v to this parent's
-/// notice-receiving children (plain Invalidation children always; subscribed
-/// self-adaptive children once per subscription).
+/// Sends invalidation notices for version v to this node's notice topic
+/// (plain Invalidation children always; subscribed self-adaptive children
+/// once per subscription).
 void UpdateEngine::notify_children(NodeId node, Version v) {
   obs::ProfileScope scope(profiler_, ps_invalidate_);
-  if (pubsub_active_) {
-    pubsub_publish(node, PubsubChannel::kNotice, v);
-    return;
-  }
-  const ChildLists& lists = child_lists_[static_cast<std::size_t>(node + 1)];
-  if (lists.notice.empty()) return;
-  SubscriptionState& subs = subs_of(node);
-  if (config_.reliable.enabled) {
-    for (const ChildLists::Notice& n : lists.notice) {
-      if (n.gated) {
-        if (subs.subscribers.count(n.child) == 0 ||
-            subs.notified.count(n.child) != 0) {
-          continue;
-        }
-        subs.notified.insert(n.child);
-      }
-      ServerState& child = *servers_[static_cast<std::size_t>(n.child)];
-      send(node, n.child, net::MessageKind::kInvalidation,
-           config_.light_packet_kb, [this, &child, v] { on_invalidation(child, v); });
-    }
-    return;
-  }
-  FanoutBatch batch(*this, node);
-  for (const ChildLists::Notice& n : lists.notice) {
-    if (n.gated) {
-      if (subs.subscribers.count(n.child) == 0 ||
-          subs.notified.count(n.child) != 0) {
-        continue;
-      }
-      subs.notified.insert(n.child);
-    }
-    ServerState& child = *servers_[static_cast<std::size_t>(n.child)];
-    batch.send(n.child, net::MessageKind::kInvalidation, config_.light_packet_kb,
-               [this, &child, v] { on_invalidation(child, v); });
-  }
+  pubsub_publish(node, PubsubChannel::kNotice, v);
 }
 
 void UpdateEngine::propagate_to_children(NodeId node, Version v) {
   obs::ProfileScope scope(profiler_, ps_push_);
-  if (pubsub_active_) {
-    pubsub_publish(node, PubsubChannel::kContent, v);
-    notify_children(node, v);
-    return;
-  }
-  const ChildLists& lists = child_lists_[static_cast<std::size_t>(node + 1)];
-  if (!lists.push.empty()) {
-    if (config_.reliable.enabled) {
-      for (NodeId c : lists.push) {
-        ServerState& child = *servers_[static_cast<std::size_t>(c)];
-        send(node, c, net::MessageKind::kPushUpdate, config_.update_packet_kb,
-             [this, &child, v] { acquire_version(child, v); });
-      }
-    } else {
-      FanoutBatch batch(*this, node);
-      for (NodeId c : lists.push) {
-        ServerState& child = *servers_[static_cast<std::size_t>(c)];
-        batch.send(c, net::MessageKind::kPushUpdate, config_.update_packet_kb,
-                   [this, &child, v] { acquire_version(child, v); });
-      }
-    }
-  }
+  pubsub_publish(node, PubsubChannel::kContent, v);
   notify_children(node, v);
 }
 
 // ---------------------------------------------------------------------------
-// Pub/sub fan-out (multicast/hybrid delivery path)
+// Pub/sub fan-out (the delivery path on every infrastructure)
 // ---------------------------------------------------------------------------
 
-// One topic walk per (relay, channel) publish. With flow control off the
-// walk replays the legacy child-list loops bit for bit — same subscriber
-// order (topics mirror child_lists_), same per-child reserve → latency-draw
-// → meter → injector sequence, no extra draws — which is what keeps
-// multicast/hybrid golden runs byte-identical to the pre-pub/sub engine.
-// With flow control on, each transmission holds one of the subscriber's
-// credits and is settled by an ack (reliable mode) or by the sender's own
-// arrival estimate (unreliable mode); subscribers out of credits are
-// suppressed and later tail the missed versions from the topic log.
+// One topic walk per (relay, channel) publish. Unicast is the depth-one
+// case: the provider is the only relay and every server subscribes to it.
+// With flow control off the walk is the plain in-order child loop, one
+// send per subscriber. With flow control on, each transmission holds one
+// of the subscriber's credits and is settled by an ack (reliable mode) or
+// by the sender's own arrival estimate (unreliable mode); subscribers out
+// of credits are suppressed and later tail the missed versions from the
+// topic log.
 void UpdateEngine::pubsub_publish(NodeId node, PubsubChannel ch, Version v) {
   pubsub::Topic& topic = topic_of(node, ch);
   if (topic.empty()) return;
-  const bool content = ch == PubsubChannel::kContent;
-  const net::MessageKind kind = content ? net::MessageKind::kPushUpdate
-                                        : net::MessageKind::kInvalidation;
-  const double size_kb =
-      content ? config_.update_packet_kb : config_.light_packet_kb;
-  const sim::SimTime now = sim_->now();
-  SubscriptionState* subs = content ? nullptr : &subs_of(node);
+  SubscriptionState* subs =
+      ch == PubsubChannel::kNotice ? &subs_of(node) : nullptr;
   auto allowed = [&](const pubsub::Subscriber& s) {
     if (!s.gated) return true;
     if (subs->subscribers.count(s.node) == 0 ||
@@ -1144,77 +994,42 @@ void UpdateEngine::pubsub_publish(NodeId node, PubsubChannel ch, Version v) {
     return true;
   };
   pubsub::Fanout fanout(topic, &flow_, counters_.pubsub);
-  const auto seq = static_cast<pubsub::SequenceNumber>(v);
-  if (config_.reliable.enabled) {
-    fanout.publish(seq, now, allowed,
-                   [&](pubsub::SubscriberId sid, pubsub::Subscriber& sub) {
-                     if (flow_.enabled()) {
-                       pubsub_transmit(node, ch, sid, v, /*catch_up=*/false,
-                                       nullptr);
-                       return;
-                     }
-                     ServerState& child =
-                         *servers_[static_cast<std::size_t>(sub.node)];
-                     if (content) {
-                       send(node, sub.node, kind, size_kb,
-                            [this, &child, v] { acquire_version(child, v); });
-                     } else {
-                       send(node, sub.node, kind, size_kb,
-                            [this, &child, v] { on_invalidation(child, v); });
-                     }
-                   });
-    return;
-  }
-  FanoutBatch batch(*this, node);
-  fanout.publish(seq, now, allowed,
-                 [&](pubsub::SubscriberId sid, pubsub::Subscriber& sub) {
-                   if (flow_.enabled()) {
-                     pubsub_transmit(node, ch, sid, v, /*catch_up=*/false,
-                                     &batch);
-                     return;
-                   }
-                   ServerState& child =
-                       *servers_[static_cast<std::size_t>(sub.node)];
-                   if (content) {
-                     batch.send(sub.node, kind, size_kb,
-                                [this, &child, v] { acquire_version(child, v); });
-                   } else {
-                     batch.send(sub.node, kind, size_kb,
-                                [this, &child, v] { on_invalidation(child, v); });
-                   }
+  fanout.publish(static_cast<pubsub::SequenceNumber>(v), sim_->now(), allowed,
+                 [&](pubsub::SubscriberId sid, pubsub::Subscriber&) {
+                   pubsub_transmit(node, ch, sid, v, /*catch_up=*/false);
                  });
 }
 
-// Flow-controlled transport of one delivery (live or catch-up). The
-// subscriber's credit was taken by the walker; this function only moves the
+// Transport of one delivery (live or catch-up). Under flow control the
+// subscriber's credit was taken by the walker; this function moves the
 // bytes and arranges the settle that will release it.
 void UpdateEngine::pubsub_transmit(NodeId relay, PubsubChannel ch,
                                    pubsub::SubscriberId sid, Version v,
-                                   bool catch_up, FanoutBatch* batch) {
-  pubsub::Subscriber& sub = topic_of(relay, ch).at(sid);
-  ServerState& child = *servers_[static_cast<std::size_t>(sub.node)];
+                                   bool catch_up) {
+  const NodeId to = topic_of(relay, ch).at(sid).node;
+  ServerState& child = *servers_[static_cast<std::size_t>(to)];
   const bool content = ch == PubsubChannel::kContent;
-  net::MessageKind kind;
-  double size_kb;
-  if (content) {
-    kind = catch_up ? net::MessageKind::kCatchUpUpdate
-                    : net::MessageKind::kPushUpdate;
-    size_kb = config_.update_packet_kb;
-  } else {
-    kind = catch_up ? net::MessageKind::kCatchUpNotice
-                    : net::MessageKind::kInvalidation;
-    size_kb = config_.light_packet_kb;
-  }
+  const net::MessageKind kind =
+      content ? (catch_up ? net::MessageKind::kCatchUpUpdate
+                          : net::MessageKind::kPushUpdate)
+              : (catch_up ? net::MessageKind::kCatchUpNotice
+                          : net::MessageKind::kInvalidation);
+  const double size_kb =
+      content ? config_.update_packet_kb : config_.light_packet_kb;
   sim::EventAction action;
   if (content) {
     action = [this, &child, v] { acquire_version(child, v); };
   } else {
     action = [this, &child, v] { on_invalidation(child, v); };
   }
+  if (!flow_.enabled()) {
+    send(relay, to, kind, size_kb, std::move(action));
+    return;
+  }
   if (config_.reliable.enabled) {
     auto st = std::make_shared<ReliableState>();
     st->from = relay;
-    st->to = sub.node;
+    st->to = to;
     st->kind = kind;
     st->size_kb = size_kb;
     st->action = std::move(action);
@@ -1228,38 +1043,10 @@ void UpdateEngine::pubsub_transmit(NodeId relay, PubsubChannel ch,
   // the credit at the nominal arrival instant of its own transmission (an
   // optimistic transport-level estimate); a copy lost to the injector
   // settles as lost at the same instant.
-  std::optional<FanoutBatch> local;
-  if (batch == nullptr) local.emplace(*this, relay);
-  FanoutBatch& b = batch != nullptr ? *batch : *local;
-  const sim::SimTime depart = b.uplink.reserve(b.now, size_kb);
-  const sim::SimTime delay = draw_latency(relay, sub.node);
-  meter_.record(kind, relay, nodes_->distance_km(relay, sub.node), size_kb);
-  sim::SimTime arrival = depart + delay;
-  bool lost = false;
-  bool scheduled = false;
-  if (b.injector != nullptr) {
-    const fault::Injector::Decision d = b.injector->decide(relay, sub.node, b.now);
-    if (d.drop) {
-      lost = true;
-      record_injected_drop(d.partitioned, sub.node);
-    } else {
-      arrival += d.extra_delay_s;
-      if (d.duplicate) {
-        ++counters_.fault_duplicated;
-        auto shared = std::make_shared<sim::EventAction>(std::move(action));
-        deliver_at(sub.node, kind, arrival, [shared] { (*shared)(); });
-        deliver_at(sub.node, kind, arrival + d.duplicate_extra_delay_s,
-                   [shared] { (*shared)(); });
-        scheduled = true;
-      }
-    }
-  }
-  if (!lost && !scheduled) {
-    deliver_at(sub.node, kind, arrival, std::move(action));
-  }
-  const bool ok = !lost;
+  const Wire w = send_unreliable(relay, to, kind, size_kb, std::move(action));
+  const bool ok = !w.lost;
   const std::uint64_t gen = pubsub_generation_;
-  sim_->at(arrival, kTagPubsubSettle,
+  sim_->at(w.arrival, kTagPubsubSettle,
            [this, relay, ch, sid, v, ok, catch_up, gen] {
              pubsub_settle(relay, ch, sid, v, ok, catch_up, gen);
            });
@@ -1310,7 +1097,7 @@ void UpdateEngine::pubsub_send_tail(NodeId relay, PubsubChannel ch,
                                     pubsub::SubscriberId sid) {
   const pubsub::Topic& topic = topic_of(relay, ch);
   const auto head = static_cast<Version>(topic.log().last_seq());
-  pubsub_transmit(relay, ch, sid, head, /*catch_up=*/true, nullptr);
+  pubsub_transmit(relay, ch, sid, head, /*catch_up=*/true);
 }
 
 void UpdateEngine::on_ack(const std::shared_ptr<ReliableState>& st) {
@@ -1323,27 +1110,42 @@ void UpdateEngine::on_ack(const std::shared_ptr<ReliableState>& st) {
   }
 }
 
+// Topics mirror infra_.children_of order, partitioned by delivery role:
+// kPush children subscribe to the content topic, notice-receiving children
+// to the notice topic (self-/rate-adaptive ones gated on their
+// subscription). A notice topic keeps plain and gated children interleaved
+// in children_of order, so the send — and uplink/RNG — sequence follows the
+// topology alone. Under unicast this yields the provider-rooted topic whose
+// subscribers are all servers in id order.
 void UpdateEngine::rebuild_topics() {
-  pubsub_active_ =
-      config_.infrastructure.kind != InfrastructureKind::kUnicast;
-  if (!pubsub_active_) return;
   // In-flight confirmations refer to the ids of the topics being replaced;
   // bumping the generation drops them instead of misattributing credits.
   ++pubsub_generation_;
   topics_.assign(servers_.size() + 1, NodeTopics(config_.pubsub.log_capacity));
   for (NodeId node = kProviderNode;
        node < static_cast<NodeId>(servers_.size()); ++node) {
-    const ChildLists& lists = child_lists_[static_cast<std::size_t>(node + 1)];
     NodeTopics& t = topics_[static_cast<std::size_t>(node + 1)];
-    for (NodeId c : lists.push) t.content.add(c, /*gated=*/false);
-    for (const ChildLists::Notice& n : lists.notice) {
-      t.notice.add(n.child, n.gated);
+    for (NodeId c : infra_.children_of(node)) {
+      switch (infra_.method_of(c)) {
+        case UpdateMethod::kPush:
+          t.content.add(c, /*gated=*/false);
+          break;
+        case UpdateMethod::kInvalidation:
+          t.notice.add(c, /*gated=*/false);
+          break;
+        case UpdateMethod::kSelfAdaptive:
+        case UpdateMethod::kRateAdaptive:
+          t.notice.add(c, /*gated=*/true);
+          break;
+        default:
+          break;  // TTL-family children pull; nothing to deliver
+      }
     }
   }
 }
 
 void UpdateEngine::meter_subscriptions() {
-  if (!pubsub_active_ || !flow_.enabled()) return;
+  if (!flow_.enabled()) return;
   // Registration is control traffic from subscriber to relay, metered like
   // tree maintenance (no uplink or latency modeled — subscriptions are
   // established before the run starts). Runs once from prepare().
@@ -1768,8 +1570,8 @@ void UpdateEngine::restore_node(ServerState& s) {
 void UpdateEngine::apply_repair(const RepairReport& report) {
   obs::ProfileScope scope(profiler_, ps_repair_);
   // Every caller just mutated infra_ (fail/restore re-parenting, method
-  // flips, supernode promotion), so the flattened fan-out lists are stale.
-  rebuild_child_lists();
+  // flips, supernode promotion), so the topics are stale.
+  rebuild_topics();
   for (const RepairEdge& edge : report.new_edges) {
     meter_.record(net::MessageKind::kTreeMaintenance, edge.child,
                   nodes_->distance_km(edge.child, edge.new_parent),

@@ -42,6 +42,7 @@
 #include <array>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -167,19 +168,20 @@ struct EngineConfig {
   };
   ReliableConfig reliable;
 
-  /// Pub/sub fan-out (DESIGN.md "Pub/sub fan-out and flow control"). Under
-  /// the multicast and hybrid infrastructures every interior node relays
-  /// updates through a pubsub::Topic pair (content pushes / invalidation
-  /// notices); with `flow_window == 0` — the default — the topic walker
-  /// replays exactly the legacy child-list send sequence, byte-identical to
-  /// pre-pub/sub engines. `flow_window > 0` enables per-subscriber credit
-  /// windows: a subscriber with `flow_window` unconfirmed deliveries stops
-  /// receiving live fan-out (it is *lagging*) and instead tails the missed
-  /// versions from the relay's bounded update log once a confirmation
-  /// frees a credit. Confirmations come from reliable-delivery acks when
-  /// `reliable.enabled`, otherwise from the sender-side arrival estimate of
-  /// the (possibly lost) transmission. Unicast infrastructures never build
-  /// topics, so this knob is inert there.
+  /// Pub/sub fan-out (DESIGN.md "Pub/sub fan-out and flow control"). Every
+  /// relay sends updates through a pubsub::Topic pair (content pushes /
+  /// invalidation notices); unicast is the depth-one case, one
+  /// provider-rooted topic pair whose subscribers are all servers in id
+  /// order. With `flow_window == 0` — the default — the topic walker is the
+  /// plain in-order child loop. `flow_window > 0` enables per-subscriber
+  /// credit windows on multicast and hybrid relays: a subscriber with
+  /// `flow_window` unconfirmed deliveries stops receiving live fan-out (it
+  /// is *lagging*) and instead tails the missed versions from the relay's
+  /// bounded update log once a confirmation frees a credit. Confirmations
+  /// come from reliable-delivery acks when `reliable.enabled`, otherwise
+  /// from the sender-side arrival estimate of the (possibly lost)
+  /// transmission. The knob is inert on unicast: the provider's topic is
+  /// always walked without credits.
   struct PubSubConfig {
     /// Per-subscriber credit window (max unconfirmed deliveries);
     /// 0 disables flow control.
@@ -302,7 +304,6 @@ class UpdateEngine {
   struct ServerState;
   struct UserState;
   struct ReliableState;
-  struct FanoutBatch;
 
   /// Plain counter mirror of the registry counters, accumulated during the
   /// run (an integer add per event instead of a registry lookup) and folded
@@ -325,9 +326,23 @@ class UpdateEngine {
   };
 
   // message transport
+  /// Outcome of one wire step: when the message arrives (injected jitter
+  /// included), whether the injector dropped it, and when an injected
+  /// duplicate arrives.
+  struct Wire {
+    sim::SimTime arrival = 0;
+    bool lost = false;
+    std::optional<sim::SimTime> duplicate;
+  };
+  /// The one wire step of every transmission: uplink reserve, latency
+  /// draw, meter, injector verdict. Schedules nothing.
+  Wire wire(topology::NodeId from, topology::NodeId to, net::MessageKind kind,
+            double size_kb);
   void send(topology::NodeId from, topology::NodeId to, net::MessageKind kind,
             double size_kb, sim::EventAction on_delivery);
-  void send_unreliable(topology::NodeId from, topology::NodeId to,
+  /// Delivers the message and any injected duplicate; returns the wire
+  /// outcome.
+  Wire send_unreliable(topology::NodeId from, topology::NodeId to,
                        net::MessageKind kind, double size_kb,
                        sim::EventAction on_delivery);
   /// Schedules a delivery at `arrival`: absence deferral and the departed
@@ -364,16 +379,12 @@ class UpdateEngine {
   void acquire_version(ServerState& s, trace::Version v);
   void propagate_to_children(topology::NodeId node, trace::Version v);
   void notify_children(topology::NodeId node, trace::Version v);
-  /// Rebuilds the per-node partitioned child lists (child_lists_) from the
-  /// infrastructure. Called at construction and after every repair — the
-  /// only times the topology or a node's method can change.
-  void rebuild_child_lists();
 
-  // pub/sub fan-out (multicast/hybrid delivery path; see
+  // pub/sub fan-out (the delivery path on every infrastructure; see
   // EngineConfig::PubSubConfig). Every node owns a content topic (kPush
-  // children) and a notice topic (notice children); both mirror
-  // child_lists_ order, so the flow-off walk replays the legacy send
-  // sequence byte for byte.
+  // children) and a notice topic (notice children), both in
+  // infra_.children_of order; under unicast only the provider's topics
+  // have subscribers.
   enum class PubsubChannel : std::uint8_t { kContent, kNotice };
   struct NodeTopics {
     pubsub::Topic content;
@@ -385,18 +396,19 @@ class UpdateEngine {
     NodeTopics& t = topics_[static_cast<std::size_t>(node + 1)];
     return ch == PubsubChannel::kContent ? t.content : t.notice;
   }
-  /// Rebuilds topics_ from child_lists_ (construction + after repair).
-  /// Bumps pubsub_generation_ so in-flight confirmations of the old
-  /// subscriber ids are dropped instead of misattributed.
+  /// Rebuilds topics_ from the infrastructure. Called at construction and
+  /// after every repair — the only times the topology or a node's method
+  /// can change. Bumps pubsub_generation_ so in-flight confirmations of
+  /// the old subscriber ids are dropped instead of misattributed.
   void rebuild_topics();
-  /// Topic fan-out of `v` from `node` on channel `ch` — the pub/sub
-  /// replacement for the direct child-list loops.
+  /// Topic fan-out of `v` from `node` on channel `ch`.
   void pubsub_publish(topology::NodeId node, PubsubChannel ch,
                       trace::Version v);
-  /// Flow-controlled transport of one (possibly catch-up) delivery.
+  /// Transport of one (possibly catch-up) delivery to subscriber `sid`;
+  /// under flow control it also arranges the settle of the credit.
   void pubsub_transmit(topology::NodeId relay, PubsubChannel ch,
                        pubsub::SubscriberId sid, trace::Version v,
-                       bool catch_up, FanoutBatch* batch);
+                       bool catch_up);
   /// Confirmation (ok) / loss verdict (!ok) of a flow-controlled
   /// transmission; may trigger an immediate catch-up tail or arm a
   /// deferred one.
@@ -509,24 +521,10 @@ class UpdateEngine {
   std::vector<std::unique_ptr<ServerState>> servers_;
   /// Flat per-server version table (index = server id).
   std::vector<trace::Version> versions_;
-  /// Per-node child lists partitioned by delivery role (index = node id +
-  /// 1): `push` holds kPush children and `notice` the notice-receiving ones
-  /// (kInvalidation always sent; self-/rate-adaptive gated on subscription),
-  /// both preserving children_of order so send sequences are unchanged.
-  /// Rebuilt by rebuild_child_lists(); read-only during the run.
-  struct ChildLists {
-    std::vector<topology::NodeId> push;
-    struct Notice {
-      topology::NodeId child;
-      bool gated;  // subscription-gated (self-/rate-adaptive child)
-    };
-    std::vector<Notice> notice;
-  };
-  std::vector<ChildLists> child_lists_;
-  /// Per-node topic pair (index = node id + 1); empty for unicast
-  /// infrastructures (pubsub_active_ false — the legacy loops run).
+  /// Per-node topic pair (index = node id + 1), rebuilt by
+  /// rebuild_topics().
   std::vector<NodeTopics> topics_;
-  bool pubsub_active_ = false;
+  /// Resolved once in the constructor: window 0 under unicast.
   pubsub::FlowController flow_{0};
   /// Bumped by rebuild_topics(); stale confirmations are dropped.
   std::uint64_t pubsub_generation_ = 0;

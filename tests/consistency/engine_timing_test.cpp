@@ -8,6 +8,9 @@
 // and event ordering to those formulas.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "consistency/engine.hpp"
 #include "net/geo.hpp"
 #include "sim/simulator.hpp"
@@ -62,19 +65,64 @@ TEST(EngineTimingTest, SinglePushArrivalIsTransmissionPlusPropagation) {
   EXPECT_NEAR(engine.recorder(0).acquire_time(1), expected, 1e-9);
 }
 
+// Spacing that keeps even the largest line inside one hemisphere.
+double spacing_for(int servers) { return std::min(10.0, 170.0 / servers); }
+
 TEST(EngineTimingTest, UnicastPushSerializesAtProviderUplink) {
-  // Three servers: copies leave the uplink back to back, 0.1 s apart, in
-  // schedule order (children are pushed in id order).
-  const auto reg = line_registry(3, 10.0);
-  const trace::UpdateTrace updates({100.0});
-  sim::Simulator simulator;
-  UpdateEngine engine(simulator, reg, updates, exact_config(UpdateMethod::kPush));
-  engine.run();
-  for (topology::NodeId s = 0; s < 3; ++s) {
-    const double expected =
-        100.0 + (s + 1) * 0.1 + one_way_s(reg, topology::kProviderNode, s);
-    EXPECT_NEAR(engine.recorder(s).acquire_time(1), expected, 1e-9)
-        << "server " << s;
+  // Copies leave the provider uplink back to back, 0.1 s apart, in
+  // schedule order (the provider's topic walks servers in id order), so
+  // server s acquires at t + (s+1)*size/bw + one_way(provider, s).
+  for (const int servers : {3, 50, 850}) {
+    SCOPED_TRACE(servers);
+    const auto reg = line_registry(servers, spacing_for(servers));
+    const trace::UpdateTrace updates({100.0});
+    sim::Simulator simulator;
+    UpdateEngine engine(simulator, reg, updates,
+                        exact_config(UpdateMethod::kPush));
+    engine.run();
+    for (topology::NodeId s = 0; s < servers; ++s) {
+      const double expected =
+          100.0 + (s + 1) * 0.1 + one_way_s(reg, topology::kProviderNode, s);
+      EXPECT_NEAR(engine.recorder(s).acquire_time(1), expected, 1e-9)
+          << "server " << s;
+    }
+  }
+}
+
+TEST(EngineTimingTest, UnicastInvalidationNoticeSerializesAtProviderUplink) {
+  // The notice counterpart: light packets, 1 ms apart on the provider
+  // uplink. Reliable delivery makes each server ack its notice the instant
+  // it arrives, and with no users the ack is the only message a server
+  // sends, so stepping the simulator reads each notice's arrival time off
+  // the server's first metered message.
+  for (const int servers : {3, 50, 850}) {
+    SCOPED_TRACE(servers);
+    const auto reg = line_registry(servers, spacing_for(servers));
+    const trace::UpdateTrace updates({100.0});
+    sim::Simulator simulator;
+    auto cfg = exact_config(UpdateMethod::kInvalidation);
+    cfg.reliable.enabled = true;
+    UpdateEngine engine(simulator, reg, updates, cfg);
+    engine.prepare();
+    const auto ack = static_cast<std::size_t>(net::MessageKind::kAck);
+    std::vector<double> noticed(static_cast<std::size_t>(servers), -1.0);
+    std::uint64_t acks = 0;
+    while (simulator.step()) {
+      if (engine.meter().kind_counts()[ack] == acks) continue;
+      acks = engine.meter().kind_counts()[ack];
+      for (topology::NodeId s = 0; s < servers; ++s) {
+        double& t = noticed[static_cast<std::size_t>(s)];
+        if (t < 0 && engine.meter().sender_totals(s).light_messages > 0) {
+          t = simulator.now();
+        }
+      }
+    }
+    for (topology::NodeId s = 0; s < servers; ++s) {
+      const double expected =
+          100.0 + (s + 1) * 0.001 + one_way_s(reg, topology::kProviderNode, s);
+      EXPECT_NEAR(noticed[static_cast<std::size_t>(s)], expected, 1e-9)
+          << "server " << s;
+    }
   }
 }
 

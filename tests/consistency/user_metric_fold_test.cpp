@@ -35,12 +35,53 @@ struct System {
   InfrastructureKind infra;
 };
 
+// gtest appends "# GetParam() = <raw bytes of System>" to each case ID, and
+// those bytes open with the `name` pointer, whose two low bytes lead the ID.
+// With plain string literals the IDs shift whenever unrelated code, or the
+// checkout path baked into __FILE__, moves the literals around in the
+// binary, and with address randomization the second byte shifts from run to
+// run too. Serving the names from one 64 KiB-aligned table fixes both: the
+// table's segment is aligned to 64 KiB in the binary, so the loader places
+// it on a 64 KiB boundary, randomized or not, and each pointer's two low
+// bytes are its slot offset. The slots keep the IDs as they have always
+// read (Ttl 0x26F4, Push 0x3F5A, Hat 0xA191).
+struct alignas(0x10000) SystemNames {
+  char bytes[0x10000];
+};
+constexpr std::size_t kTtlSlot = 0x26F4;
+constexpr std::size_t kPushSlot = 0x3F5A;
+constexpr std::size_t kInvalidationSlot = 0x0400;
+constexpr std::size_t kSelfAdaptiveSlot = 0x0500;
+constexpr std::size_t kHatSlot = 0xA191;
+constexpr SystemNames make_system_names() {
+  SystemNames n{};
+  const struct {
+    std::size_t offset;
+    const char* name;
+  } slots[] = {{kTtlSlot, "Ttl"},
+               {kPushSlot, "Push"},
+               {kInvalidationSlot, "Invalidation"},
+               {kSelfAdaptiveSlot, "SelfAdaptive"},
+               {kHatSlot, "Hat"}};
+  for (const auto& slot : slots) {
+    for (std::size_t i = 0; slot.name[i] != '\0'; ++i) {
+      n.bytes[slot.offset + i] = slot.name[i];
+    }
+  }
+  return n;
+}
+constexpr SystemNames kNames = make_system_names();
+
 const System kSystems[] = {
-    {"Ttl", UpdateMethod::kTtl, InfrastructureKind::kUnicast},
-    {"Push", UpdateMethod::kPush, InfrastructureKind::kUnicast},
-    {"Invalidation", UpdateMethod::kInvalidation, InfrastructureKind::kUnicast},
-    {"SelfAdaptive", UpdateMethod::kSelfAdaptive, InfrastructureKind::kUnicast},
-    {"Hat", UpdateMethod::kSelfAdaptive, InfrastructureKind::kHybridSupernode},
+    {&kNames.bytes[kTtlSlot], UpdateMethod::kTtl, InfrastructureKind::kUnicast},
+    {&kNames.bytes[kPushSlot], UpdateMethod::kPush,
+     InfrastructureKind::kUnicast},
+    {&kNames.bytes[kInvalidationSlot], UpdateMethod::kInvalidation,
+     InfrastructureKind::kUnicast},
+    {&kNames.bytes[kSelfAdaptiveSlot], UpdateMethod::kSelfAdaptive,
+     InfrastructureKind::kUnicast},
+    {&kNames.bytes[kHatSlot], UpdateMethod::kSelfAdaptive,
+     InfrastructureKind::kHybridSupernode},
 };
 
 enum class Regime { kAbsences, kChurn, kLossReliable, kSwitchEveryVisit };

@@ -1,4 +1,5 @@
-// Golden pins for the five reference systems.
+// Golden pins for the five reference systems, plus transport pins for the
+// same scenario under a lossy network with reliable delivery.
 //
 // Each test runs a fixed 20-server scenario against a fixed game trace
 // (derived through the batch runner's substream rule, so these values also
@@ -74,7 +75,8 @@ const Golden kGoldens[] = {
      3944},
 };
 
-BatchJob golden_job(const Golden& g) {
+BatchJob scenario_job(const char* label, UpdateMethod method,
+                      InfrastructureKind infra) {
   BatchJob job;
   ScenarioConfig sc;
   sc.server_count = 20;
@@ -87,14 +89,18 @@ BatchJob golden_job(const Golden& g) {
   game.break_s = 120;
   game.post_game_s = 60;
   job.game = game;
-  job.engine.method.method = g.method;
+  job.engine.method.method = method;
   job.engine.method.server_ttl_s = 15.0;
-  job.engine.infrastructure.kind = g.infra;
+  job.engine.infrastructure.kind = infra;
   job.engine.infrastructure.cluster_count = 5;
   job.engine.users_per_server = 3;
   job.engine.user_poll_period_s = 12.0;
-  job.label = g.name;
+  job.label = label;
   return job;
+}
+
+BatchJob golden_job(const Golden& g) {
+  return scenario_job(g.name, g.method, g.infra);
 }
 
 class SimulationGoldenTest : public ::testing::TestWithParam<Golden> {};
@@ -172,6 +178,89 @@ TEST(SimulationGoldenTest, PinnedValuesPreserveThePapersOrdering) {
   EXPECT_LT(hat.traffic_cost_km_kb, self_adaptive.traffic_cost_km_kb);
   EXPECT_LT(hat.avg_server_inconsistency_s,
             self_adaptive.avg_server_inconsistency_s);
+}
+
+// Transport pins: the golden scenario under a lossy network (15% loss,
+// duplication, jitter) with reliable delivery on, on every infrastructure.
+// The five pins above are lossless and mostly unicast; these cover the drop,
+// duplicate, retry, ack and flow-control settle paths of the send layer.
+// A plain TEST looping with SCOPED_TRACE, not a TEST_P: see GoldenNames.
+struct TransportGolden {
+  const char* name;
+  UpdateMethod method;
+  InfrastructureKind infra;
+  std::uint32_t flow_window;
+  double avg_server_inconsistency_s;
+  double avg_user_inconsistency_s;
+  std::uint64_t update_messages;
+  std::uint64_t light_messages;
+  std::uint64_t ack_messages;
+  std::uint64_t retries;
+  std::uint64_t give_ups;
+  std::uint64_t dropped;
+  std::uint64_t duplicated;
+  std::uint64_t suppressed;
+  std::uint64_t catch_up_messages;
+};
+
+// Recorded 2026-10 from the reference build with %.17g, like kGoldens.
+const TransportGolden kTransportGoldens[] = {
+    {"Push/Unicast", UpdateMethod::kPush, InfrastructureKind::kUnicast, 0,
+     0.46813516271994648, 6.5723925753747166, 1497, 1442, 1442, 377, 2, 425,
+     162, 0, 0},
+    {"Invalidation/Unicast", UpdateMethod::kInvalidation,
+     InfrastructureKind::kUnicast, 0, 5.0055183800491907, 7.2692891439715961,
+     1401, 5406, 2828, 935, 3, 1026, 482, 0, 0},
+    {"Push/MulticastTree", UpdateMethod::kPush,
+     InfrastructureKind::kMulticastTree, 0, 1.4855214544840398,
+     7.5188211468032895, 1442, 1405, 1405, 354, 0, 411, 175, 0, 0},
+    {"Invalidation/MulticastTree", UpdateMethod::kInvalidation,
+     InfrastructureKind::kMulticastTree, 0, 8.057818394855925,
+     10.291184201940816, 1534, 10196, 5194, 1763, 4, 1772, 791, 0, 0},
+    {"Push/HybridSupernode", UpdateMethod::kPush,
+     InfrastructureKind::kHybridSupernode, 0, 0.88673579193528806,
+     6.9295354325175742, 1490, 1478, 1478, 379, 1, 429, 188, 0, 0},
+    {"Invalidation/HybridSupernode", UpdateMethod::kInvalidation,
+     InfrastructureKind::kHybridSupernode, 0, 4.74318470352007,
+     8.0220800214483621, 1429, 4360, 2460, 796, 1, 877, 418, 0, 0},
+    {"Hat", UpdateMethod::kSelfAdaptive, InfrastructureKind::kHybridSupernode,
+     0, 6.4768884996505349, 10.072866181410404, 594, 886, 513, 130, 0, 210,
+     120, 0, 0},
+    // Credit window 2: notices flood faster than acks return, so this cell
+    // suppresses live sends and settles catch-up tails.
+    {"Invalidation/MulticastTree/window2", UpdateMethod::kInvalidation,
+     InfrastructureKind::kMulticastTree, 2, 6.568239018741254,
+     8.9131575442417468, 1552, 10069, 5155, 1689, 4, 1753, 814, 188, 13},
+};
+
+TEST(SimulationGoldenTest, LossyReliableTransportMatchesRecordedValues) {
+  for (const TransportGolden& g : kTransportGoldens) {
+    SCOPED_TRACE(g.name);
+    BatchJob job = scenario_job(g.name, g.method, g.infra);
+    job.engine.fault.enabled = true;
+    job.engine.fault.loss_probability = 0.15;
+    job.engine.fault.duplicate_probability = 0.15;
+    job.engine.fault.extra_delay_max_s = 0.15;
+    job.engine.reliable.enabled = true;
+    job.engine.pubsub.flow_window = g.flow_window;
+    const auto r = BatchRunner::run_job(job, kGoldenSeed, 0);
+    ASSERT_TRUE(r.ok()) << r.error;
+    auto m = r.sim.metrics;  // counter() is non-const (registers)
+    // Bit-exact: the transport must not reorder a single draw.
+    EXPECT_EQ(r.sim.avg_server_inconsistency_s, g.avg_server_inconsistency_s);
+    EXPECT_EQ(r.sim.avg_user_inconsistency_s, g.avg_user_inconsistency_s);
+    EXPECT_EQ(r.sim.traffic.update_messages, g.update_messages);
+    EXPECT_EQ(r.sim.traffic.light_messages, g.light_messages);
+    EXPECT_EQ(static_cast<std::uint64_t>(m.gauge("net.messages.ack").value),
+              g.ack_messages);
+    EXPECT_EQ(m.counter("reliable.retries").value, g.retries);
+    EXPECT_EQ(m.counter("reliable.give_ups").value, g.give_ups);
+    EXPECT_EQ(m.counter("fault.messages_dropped").value, g.dropped);
+    EXPECT_EQ(m.counter("fault.messages_duplicated").value, g.duplicated);
+    EXPECT_EQ(m.counter("pubsub.suppressed_deliveries").value, g.suppressed);
+    EXPECT_EQ(m.counter("pubsub.catch_up_messages").value,
+              g.catch_up_messages);
+  }
 }
 
 }  // namespace
