@@ -130,11 +130,12 @@ void BM_EngineGameDay(benchmark::State& state) {
 }
 BENCHMARK(BM_EngineGameDay)->Arg(50)->Arg(170)->Unit(benchmark::kMillisecond);
 
-// ~100k batched user visits against a sparse trace: the visit walk and the
-// user-metric fold from its run-length records (not update propagation)
-// dominate, so this isolates the path the batched engine replaced per-visit
-// events and rows with. 1000 users polling every 10 s over ~1080 s of
-// simulated time = ~108k visits per iteration.
+// ~100k batched user visits against a sparse trace: the visit-stream walk
+// and the user-metric fold from its run-length records (not update
+// propagation) dominate, so this isolates the path the batched engine
+// replaced per-visit events and rows with. Visits are generated from
+// per-user phases, never stored. 1000 users polling every 10 s over
+// ~1080 s of simulated time = ~108k visits per iteration.
 void BM_VisitBatch(benchmark::State& state) {
   core::ScenarioConfig sc;
   sc.server_count = 100;

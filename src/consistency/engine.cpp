@@ -109,28 +109,28 @@ struct UpdateEngine::ServerState {
 
   const trace::AbsenceSchedule* absence = nullptr;
 
-  // Batched-visit walk state: position in the precomputed arrival arrays
-  // and the pending pump event (armed only while the server is blocked).
-  std::size_t visit_cursor = 0;
+  // Batched-visit walk state: the server's visit stream (its unconsumed
+  // visits, generated from the users' phases) and the pending pump event
+  // (armed only while the server is blocked). The stream caches its next
+  // visit time, so the flush-before-every-state-mutation callers can skip
+  // the whole walk when the window is empty (+inf when exhausted or
+  // unbatched).
+  trace::VisitStream visits;
   sim::EventHandle visit_event;
-  // Arrival time of the first unwalked visit (+inf when the schedule is
-  // exhausted or the server has no batched schedule). Maintained alongside
-  // visit_cursor so the flush-before-every-state-mutation callers can skip
-  // the whole walk when the window is empty.
-  sim::SimTime next_visit_time = std::numeric_limits<sim::SimTime>::infinity();
 
   bool has_pending_visits_before(sim::SimTime t) const {
-    return next_visit_time < t;
+    return visits.next().time < t;
   }
 
-  // Run-length user-log records from the bulk visit walk: schedule entries
-  // [begin, end) all share one (version, answered) outcome. Recording one
-  // run per walk instead of one row per visit keeps the hot walk free of
-  // scattered per-user appends; walk_user_rows() expands them, after the
-  // run, into the user-metric fold and (on demand) UserObservation rows.
+  // Run-length user-log records from the bulk visit walk: the visits at
+  // stream positions [begin, end) in (time, user) order all share one
+  // (version, answered) outcome. Recording one run per walk instead of one
+  // row per visit keeps the hot walk free of scattered per-user appends;
+  // walk_user_rows() expands them, after the run, into the user-metric
+  // fold and (on demand) UserObservation rows.
   struct VisitLogRun {
-    std::uint32_t begin;
-    std::uint32_t end;
+    trace::VisitPos begin;
+    trace::VisitPos end;
     Version version;
     bool answered;
   };
@@ -546,47 +546,78 @@ void UpdateEngine::walk_user_rows(Emit&& emit) const {
   if (!visit_batching_) {
     for (const auto& u : users_) {
       for (const auto& row : direct_logs_->log(u->id).observations()) {
-        emit(u->id, row);
+        emit(u->id, row, std::size_t{1});
       }
     }
     return;
   }
+  // Each user's visit times are regenerated from the stream's phase with
+  // the stream's own repeated addition and matched to the runs by stream
+  // position, run by run: a user's visits before a run's begin were pumped
+  // and are among the direct rows (pump visits, waiting users served or
+  // abandoned), and its visits inside the run form one segment. A pumped
+  // visit lies in no run, so a direct row never falls inside a segment,
+  // and the direct rows merge between segments by request time. Blocked
+  // servers run in pump mode, so a direct row and a run row never share a
+  // request time — per-user row order stays exactly the strictly-increasing
+  // sequence the per-visit path produced.
   const std::size_t ups = config_.users_per_server;
-  std::vector<const std::vector<cdn::UserObservation>*> direct(ups);
-  std::vector<std::size_t> cursor(ups);
+  struct Cursor {
+    trace::VisitPos next;  // the user's next visit
+    const std::vector<cdn::UserObservation>* direct;
+    std::size_t di = 0;  // next direct row
+  };
+  std::vector<Cursor> cursors(ups);
   for (const auto& sp : servers_) {
     const ServerState& s = *sp;
-    const trace::VisitSchedule::PerServer& plan =
-        visit_plan_->servers[static_cast<std::size_t>(s.id)];
+    const sim::SimTime period = s.visits.period();
     const auto base =
         static_cast<cdn::UserId>(static_cast<std::size_t>(s.id) * ups);
     for (std::size_t k = 0; k < ups; ++k) {
-      direct[k] = &direct_logs_->log(base + static_cast<cdn::UserId>(k))
-                       .observations();
-      cursor[k] = 0;
+      const auto local = static_cast<std::uint32_t>(k);
+      cursors[k] = {{s.visits.phase(local), local},
+                    &direct_logs_->log(base + static_cast<cdn::UserId>(k))
+                         .observations()};
     }
-    // Direct rows (pump visits, waiting users served or abandoned) merge
-    // by request time. Blocked servers run in pump mode, so a direct row
-    // and a run row never share a request time — per-user row order stays
-    // exactly the strictly-increasing sequence the per-visit path produced.
     const auto emit_direct_before = [&](std::size_t k, sim::SimTime t) {
-      const std::vector<cdn::UserObservation>& rows = *direct[k];
-      std::size_t& di = cursor[k];
-      while (di < rows.size() && rows[di].request_time < t) {
-        emit(static_cast<cdn::UserId>(base + k), rows[di++]);
+      Cursor& c = cursors[k];
+      while (c.di < c.direct->size() && (*c.direct)[c.di].request_time < t) {
+        emit(base + static_cast<cdn::UserId>(k), (*c.direct)[c.di++],
+             std::size_t{1});
       }
     };
     cdn::UserObservation row;
     row.server = s.id;
     row.redirected = false;
-    for (const auto& r : s.visit_log_runs) {
-      row.version = r.version;
-      row.answered = r.answered;
-      for (std::uint32_t j = r.begin; j < r.end; ++j) {
-        const std::size_t k = plan.users[j] - base;
-        row.request_time = row.serve_time = plan.times[j];
-        emit_direct_before(k, row.request_time);
-        emit(static_cast<cdn::UserId>(base + k), row);
+    const trace::VisitPos horizon{s.visits.end_time(), 0};
+    for (const ServerState::VisitLogRun& run : s.visit_log_runs) {
+      row.version = run.version;
+      row.answered = run.answered;
+      const trace::VisitPos end = std::min(run.end, horizon);
+      for (std::size_t k = 0; k < ups; ++k) {
+        trace::VisitPos& p = cursors[k].next;
+        while (p < run.begin) p.time += period;  // pumped visits
+        // Count the visits before `end` four at a time: the same repeated
+        // addition, but no branch per visit (segments are short and their
+        // lengths unpredictable).
+        const sim::SimTime first = p.time;
+        std::size_t repeat = 0;
+        for (;;) {
+          sim::SimTime t[5] = {p.time};
+          for (int i = 1; i < 5; ++i) t[i] = t[i - 1] + period;
+          unsigned n = 0;
+          for (int i = 0; i < 4; ++i) {
+            n += static_cast<unsigned>((t[i] < end.time) |
+                                       ((t[i] == end.time) & (p.user < end.user)));
+          }
+          p.time = t[n];
+          repeat += n;
+          if (n < 4) break;
+        }
+        if (repeat == 0) continue;
+        emit_direct_before(k, first);
+        row.request_time = row.serve_time = first;
+        emit(base + static_cast<cdn::UserId>(k), row, repeat);
       }
     }
     for (std::size_t k = 0; k < ups; ++k) {
@@ -606,11 +637,14 @@ void UpdateEngine::fold_user_metrics() {
   const Version final_version = updates_->update_count();
   std::uint64_t total = 0;
   std::uint64_t stale = 0;
-  walk_user_rows([&](cdn::UserId user, const cdn::UserObservation& obs) {
+  // A segment's later visits repeat the first one's version, so they are
+  // stale exactly when it is, and never reach a version not yet seen.
+  walk_user_rows([&](cdn::UserId user, const cdn::UserObservation& obs,
+                     std::size_t repeat) {
     if (!obs.answered) return;
     Accumulator& a = acc[static_cast<std::size_t>(user)];
-    ++total;
-    if (obs.version < a.max_seen) ++stale;
+    total += repeat;
+    if (obs.version < a.max_seen) stale += repeat;
     a.max_seen = std::max(a.max_seen, obs.version);
     // First serve time at which the user saw version >= v.
     while (a.next_needed <= obs.version && a.next_needed <= final_version) {
@@ -1687,19 +1721,15 @@ void UpdateEngine::start_users() {
   }
 
   if (visit_batching_) {
-    // build_visit_schedule draws the per-user phases in user-id order —
+    // make_visit_streams draws the per-user phases in user-id order —
     // exactly the draws the timer setup above would have made, so the
-    // engine RNG advances identically on both paths.
-    visit_plan_ = std::make_unique<trace::VisitSchedule>(trace::build_visit_schedule(
+    // engine RNG advances identically on both paths. No server starts
+    // blocked, so none needs a visit event yet.
+    std::vector<trace::VisitStream> streams = trace::make_visit_streams(
         servers_.size(), config_.users_per_server, config_.user_poll_period_s,
-        config_.user_start_window_s, end_time_, rng_));
-    // No server starts blocked, so none needs a visit event yet.
+        config_.user_start_window_s, end_time_, rng_);
     for (auto& s : servers_) {
-      const auto& times =
-          visit_plan_->servers[static_cast<std::size_t>(s->id)].times;
-      s->next_visit_time =
-          times.empty() ? std::numeric_limits<sim::SimTime>::infinity()
-                        : times.front();
+      s->visits = std::move(streams[static_cast<std::size_t>(s->id)]);
     }
   }
 }
@@ -1778,10 +1808,9 @@ bool UpdateEngine::visit_pump_needed(const ServerState& s) const {
 
 void UpdateEngine::catch_up_visits(ServerState& s) {
   // Hot-path early-out: callers flush before *every* state mutation and
-  // most flushes find an empty window (ROADMAP hot spot #1).
-  // next_visit_time mirrors plan.times[visit_cursor] (+inf when exhausted
-  // or unbatched), so the empty case is one comparison instead of a plan
-  // chase into the walk.
+  // most flushes find an empty window (ROADMAP hot spot #1). The stream
+  // caches its next visit time (+inf when exhausted or unbatched), so the
+  // empty case is one comparison.
   if (!s.has_pending_visits_before(sim_->now())) return;
   catch_up_visits_until(s, sim_->now());
 }
@@ -1791,80 +1820,61 @@ void UpdateEngine::catch_up_visits(ServerState& s) {
 // server state (version, invalid_known, departed, method), so every visit
 // in the backlog is evaluated against the state that held when it arrived.
 void UpdateEngine::catch_up_visits_until(ServerState& s, sim::SimTime upto) {
-  if (!visit_batching_) return;
-  const trace::VisitSchedule::PerServer& plan =
-      visit_plan_->servers[static_cast<std::size_t>(s.id)];
-  std::size_t i = s.visit_cursor;
-  const std::size_t n = plan.times.size();
-  if (i >= n || plan.times[i] >= upto) return;
-  // A blocked server runs in pump mode, which keeps the cursor current —
+  if (!visit_batching_ || !s.has_pending_visits_before(upto)) return;
+  // A blocked server runs in pump mode, which keeps the stream current —
   // so the early return above always fires first for it. (Order matters:
   // this guard must come after that return, not before.)
   CDNSIM_EXPECTS(!visit_pump_needed(s),
                  "bulk visit walk while the server is blocked");
-  const bool rate_adaptive = s.method == UpdateMethod::kRateAdaptive;
-  const bool record_logs = config_.record_user_logs;
-  Counters& c = counters_;
   // The server's user-visible state cannot change inside one walk — every
-  // caller flushes the backlog *before* mutating — so the branch structure
-  // is hoisted out of the per-visit loop. Users are pinned (plan.users[i]
-  // IS the user id) and a bulk visit is a pure read, so the common path
-  // below never touches UserState at all.
-  if (!s.departed && s.absence == nullptr) {
-    // Fast path: every pending visit is answered with the same version, so
-    // the whole window collapses to a range scan plus (when logging) one
-    // run-length record — no per-visit work at all.
-    const std::size_t begin = i;
-    // Linear, not lower_bound: the cursor advances a handful of entries per
-    // call, so a sequential scan beats a binary search over the whole tail.
-    while (i < n && plan.times[i] < upto) ++i;
-    if (record_logs && i > begin) {
-      s.visit_log_runs.push_back({static_cast<std::uint32_t>(begin),
-                                  static_cast<std::uint32_t>(i),
-                                  version_of(s.id), true});
-    }
-    const std::uint64_t count = i - begin;
-    c.visits += count;
-    if (rate_adaptive) s.visits_in_window += count;
-  } else {
-    std::uint64_t visits = 0;
-    std::uint64_t unanswered = 0;
-    std::uint64_t in_window = 0;
-    const Version version = version_of(s.id);
-    // Coalesce the walk into maximal same-outcome runs (answered flips only
-    // at absence-window edges, so runs are long).
-    std::size_t run_begin = i;
-    bool run_answered = false;
-    const auto flush_run = [&](std::size_t end) {
-      if (!record_logs || end == run_begin) return;
-      s.visit_log_runs.push_back({static_cast<std::uint32_t>(run_begin),
-                                  static_cast<std::uint32_t>(end),
-                                  run_answered ? version : 0, run_answered});
-    };
-    while (i < n && plan.times[i] < upto) {
-      const sim::SimTime t = plan.times[i];
-      ++visits;
-      const bool answered = !(s.departed || s.absent_at(t));
-      if (i != run_begin && answered != run_answered) {
-        flush_run(i);
-        run_begin = i;
-      }
-      run_answered = answered;
-      if (!answered) {
-        ++unanswered;
-      } else if (rate_adaptive) {
-        ++in_window;
-      }
-      ++i;
-    }
-    flush_run(i);
-    c.visits += visits;
-    c.visits_unanswered += unanswered;
-    s.visits_in_window += in_window;
+  // caller flushes the backlog *before* mutating — so a window's outcome
+  // changes only at absence-interval edges. Users are pinned and a bulk
+  // visit is a pure read, so the walk never touches UserState at all.
+  if (s.departed || s.absence == nullptr) {
+    // Fast path: every pending visit has the same outcome.
+    walk_visits(s, upto, !s.departed);
+    return;
   }
-  s.visit_cursor = i;
-  s.next_visit_time =
-      i < n ? plan.times[i] : std::numeric_limits<sim::SimTime>::infinity();
+  // Absent server: split the window at the absence-interval edges. The
+  // intervals are disjoint and in order; start from the first one ending
+  // after the next visit.
+  const std::vector<trace::AbsenceSchedule::Interval>& absent =
+      s.absence->intervals();
+  const sim::SimTime from = s.visits.next().time;
+  auto it = std::partition_point(
+      absent.begin(), absent.end(),
+      [from](const trace::AbsenceSchedule::Interval& iv) { return iv.end <= from; });
+  for (; it != absent.end() && s.has_pending_visits_before(upto); ++it) {
+    walk_visits(s, std::min(it->start, upto), true);
+    walk_visits(s, std::min(it->end, upto), false);
+  }
+  walk_visits(s, upto, true);
+}
+
+// Consumes the server's visits before `until`, all with one outcome
+// (answered with the current version, or unanswered), counts them, and
+// records them as a run — extending the previous run when the two are
+// adjacent in the stream and share the outcome.
+void UpdateEngine::walk_visits(ServerState& s, sim::SimTime until,
+                               bool answered) {
+  const trace::VisitPos begin = s.visits.next();
+  const std::uint64_t count = s.visits.advance_until(until);
+  if (count == 0) return;
+  counters_.visits += count;
+  if (!answered) {
+    counters_.visits_unanswered += count;
+  } else if (s.method == UpdateMethod::kRateAdaptive) {
+    s.visits_in_window += count;
+  }
+  if (!config_.record_user_logs) return;
+  const Version version = answered ? version_of(s.id) : 0;
+  std::vector<ServerState::VisitLogRun>& runs = s.visit_log_runs;
+  if (!runs.empty() && runs.back().end == begin &&
+      runs.back().version == version && runs.back().answered == answered) {
+    runs.back().end = s.visits.next();
+  } else {
+    runs.push_back({begin, s.visits.next(), version, answered});
+  }
 }
 
 // Called immediately AFTER any state mutation that may change blockedness:
@@ -1878,29 +1888,23 @@ void UpdateEngine::resync_visits(ServerState& s) {
 
 void UpdateEngine::schedule_visit_event(ServerState& s) {
   s.visit_event.cancel();
-  const trace::VisitSchedule::PerServer& plan =
-      visit_plan_->servers[static_cast<std::size_t>(s.id)];
-  if (s.visit_cursor >= plan.times.size() || !visit_pump_needed(s)) return;
+  if (s.visits.exhausted() || !visit_pump_needed(s)) return;
   // Blocked: the next visit must fire at its exact arrival time.
   ServerState* sp = &s;
-  s.visit_event = sim_->at(plan.times[s.visit_cursor], kTagUserVisit,
+  s.visit_event = sim_->at(s.visits.next().time, kTagUserVisit,
                            [this, sp] { pump_visit(*sp); });
 }
 
 // One visit at its exact arrival time — the blocked-server slow path,
 // mirroring the legacy user_visit() for a pinned user.
 void UpdateEngine::pump_visit(ServerState& s) {
-  const trace::VisitSchedule::PerServer& plan =
-      visit_plan_->servers[static_cast<std::size_t>(s.id)];
-  CDNSIM_EXPECTS(s.visit_cursor < plan.times.size(), "pump past the schedule");
+  const trace::VisitPos visit = s.visits.pop();
   const sim::SimTime now = sim_->now();
   // Pinned attachment: batched visits never redirect, so last_server (a
   // legacy-path concern) is left untouched.
-  UserState& u = *users_[plan.users[s.visit_cursor]];
-  ++s.visit_cursor;
-  s.next_visit_time = s.visit_cursor < plan.times.size()
-                          ? plan.times[s.visit_cursor]
-                          : std::numeric_limits<sim::SimTime>::infinity();
+  UserState& u = *users_[static_cast<std::size_t>(s.id) *
+                             config_.users_per_server +
+                         visit.user];
   ++counters_.visits;
   if (s.departed || s.absent_at(now)) {
     ++counters_.visits_unanswered;
@@ -2006,8 +2010,15 @@ const cdn::UserPopulationLog& UpdateEngine::user_logs() const {
                  "user_logs() is valid after run() or publish_run_stats()");
   if (merged_logs_ == nullptr) {
     auto logs = std::make_unique<cdn::UserPopulationLog>(users_.size());
-    walk_user_rows([&](cdn::UserId user, const cdn::UserObservation& obs) {
-      logs->log(user).add(obs);
+    walk_user_rows([&](cdn::UserId user, cdn::UserObservation obs,
+                       std::size_t repeat) {
+      cdn::UserLog& log = logs->log(user);
+      for (;;) {
+        log.add(obs);
+        if (--repeat == 0) break;
+        obs.request_time = obs.serve_time =
+            obs.request_time + config_.user_poll_period_s;
+      }
     });
     merged_logs_ = std::move(logs);
   }

@@ -32,9 +32,10 @@
 // one.
 //
 // Batched visits (DESIGN.md "Batched user visits", default for the pinned
-// attachment): user arrivals are precomputed into per-server SoA arrays
-// (trace::VisitSchedule) and walked in bulk instead of one event per visit;
-// the walk keeps run-length records, not rows. The result is
+// attachment): each server's user arrivals come from a per-server visit
+// stream generated from per-user phases (trace::VisitStream, state
+// independent of the horizon) and are walked in bulk instead of one event
+// per visit; the walk keeps run-length records, not rows. The result is
 // observationally identical to the per-visit path; only the sim.event*
 // gauges (event counts) change.
 #pragma once
@@ -67,10 +68,6 @@
 #include "trace/absence.hpp"
 #include "trace/poll_log.hpp"
 #include "util/rng.hpp"
-
-namespace cdnsim::trace {
-struct VisitSchedule;
-}
 
 namespace cdnsim::consistency {
 
@@ -108,11 +105,11 @@ struct EngineConfig {
   cdn::DnsConfig dns;
   net::PlacementConfig dns_user_placement;
 
-  /// Batched user-visit processing: precompute per-server arrival arrays
-  /// and walk them in bulk instead of one simulator event per visit; only a
-  /// blocked server (visits must fetch) fires one event per visit. User
-  /// metrics are folded from the walk's run-length records, and
-  /// user_logs() builds rows on demand.
+  /// Batched user-visit processing: generate each server's arrivals from
+  /// per-user phases and walk them in bulk instead of one simulator event
+  /// per visit; only a blocked server (visits must fetch) fires one event
+  /// per visit. User metrics are folded from the walk's run-length
+  /// records, and user_logs() builds rows on demand.
   /// Effective only for kPinnedLocal without a poll log (other shapes fall
   /// back to the per-visit path). Observationally identical to the legacy
   /// path — same draws, same observations, same counters — except for the
@@ -460,9 +457,12 @@ class UpdateEngine {
   void bind_timeseries();
   void sample_timeseries();
   void finish_timeseries();
-  // Calls emit(user, row) for every user row in per-user request-time
-  // order (batched: run-length records merged with the direct rows) — the
-  // one merge walk behind the user-metric fold and user_logs().
+  // Calls emit(user, row, repeat) for every user row in per-user
+  // request-time order (batched: run-length records merged with the direct
+  // rows) — the one merge walk behind the user-metric fold and
+  // user_logs(). `repeat` rows share `row`'s outcome: the i-th is at
+  // row.request_time advanced i times by `+= user_poll_period_s` (the
+  // visit stream's own arithmetic); direct rows come with repeat 1.
   template <typename Emit>
   void walk_user_rows(Emit&& emit) const;
   void fold_user_metrics();  // once, from publish_run_stats()
@@ -482,14 +482,18 @@ class UpdateEngine {
   void deliver_to_user(ServerState& s, UserState& u, sim::SimTime request_time,
                        sim::SimTime serve_time, bool redirected);
 
-  // users — batched path (trace::VisitSchedule). Pending visits are walked
-  // in bulk before a server's user-visible state changes (catch_up_visits),
-  // at time-series sample points and at the horizon. While the server is
-  // "blocked" (invalidation pending, visits must fetch) the exact per-visit
-  // timing matters, so resync_visits arms a pump event at the next arrival.
+  // users — batched path (one trace::VisitStream per server). Pending
+  // visits are walked in bulk before a server's user-visible state changes
+  // (catch_up_visits), at time-series sample points and at the horizon;
+  // each walk records its visits as run-length records bounded by stream
+  // positions (walk_visits), split at absence-interval edges. While the
+  // server is "blocked" (invalidation pending, visits must fetch) the exact
+  // per-visit timing matters, so resync_visits arms a pump event at the
+  // stream's next visit.
   bool visit_pump_needed(const ServerState& s) const;
   void catch_up_visits(ServerState& s);
   void catch_up_visits_until(ServerState& s, sim::SimTime upto);
+  void walk_visits(ServerState& s, sim::SimTime until, bool answered);
   void resync_visits(ServerState& s);
   void schedule_visit_event(ServerState& s);
   void pump_visit(ServerState& s);
@@ -544,7 +548,6 @@ class UpdateEngine {
 
   // Visit mode (resolved once in the constructor).
   bool visit_batching_ = false;
-  std::unique_ptr<trace::VisitSchedule> visit_plan_;
 
   // Observability. The registry is engine-owned (nothing shared between
   // batch jobs). Counters accumulate in counters_ and per-server

@@ -21,15 +21,19 @@ void TrafficMeter::record(MessageKind kind, NodeId sender, double distance_km,
                           double size_kb) {
   CDNSIM_EXPECTS(distance_km >= 0, "distance must be non-negative");
   CDNSIM_EXPECTS(size_kb >= 0, "size must be non-negative");
+  CDNSIM_EXPECTS(sender >= kProviderNode, "sender must be a node id");
   ++kind_counts_[static_cast<std::size_t>(kind)];
   if (!is_maintenance(kind)) return;
   apply(totals_, kind, distance_km, size_kb);
-  apply(by_sender_[sender], kind, distance_km, size_kb);
+  const auto slot = static_cast<std::size_t>(sender + 1);
+  if (slot >= by_sender_.size()) by_sender_.resize(slot + 1);
+  apply(by_sender_[slot], kind, distance_km, size_kb);
 }
 
 TrafficTotals TrafficMeter::sender_totals(NodeId sender) const {
-  const auto it = by_sender_.find(sender);
-  return it == by_sender_.end() ? TrafficTotals{} : it->second;
+  CDNSIM_EXPECTS(sender >= kProviderNode, "sender must be a node id");
+  const auto slot = static_cast<std::size_t>(sender + 1);
+  return slot < by_sender_.size() ? by_sender_[slot] : TrafficTotals{};
 }
 
 void TrafficMeter::reset() {

@@ -11,7 +11,7 @@
 
 #include <array>
 #include <cstdint>
-#include <unordered_map>
+#include <vector>
 
 #include "net/message.hpp"
 
@@ -40,6 +40,7 @@ class TrafficMeter {
   const TrafficTotals& totals() const { return totals_; }
 
   /// Messages sent by one node (e.g. the content provider, Fig. 22b).
+  /// Senders are node ids >= kProviderNode.
   TrafficTotals sender_totals(NodeId sender) const;
 
   /// Count of every record() call per message kind, *including* the
@@ -53,7 +54,9 @@ class TrafficMeter {
 
  private:
   TrafficTotals totals_;
-  std::unordered_map<NodeId, TrafficTotals> by_sender_;
+  // Dense per-sender totals, index sender + 1 (the provider at 0); grown
+  // on demand by record().
+  std::vector<TrafficTotals> by_sender_;
   std::array<std::uint64_t, kMessageKindCount> kind_counts_{};
 };
 

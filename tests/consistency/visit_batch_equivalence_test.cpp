@@ -6,16 +6,21 @@
 // same counters and histograms. The only sanctioned difference is the sim.*
 // gauge family, which reports the (far fewer) events the batched run
 // actually fires. Checked across all five paper systems, with reliable
-// delivery off and on, under a nonzero fault plan.
+// delivery off and on, under a nonzero fault plan. Two engine-level checks
+// of the visit streams ride along: a pump visit and a bulk walk splitting
+// one tied instant, and per-server visit state that does not grow with the
+// horizon.
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <cstdint>
 #include <string>
 #include <tuple>
 #include <vector>
 
 #include "consistency/engine.hpp"
 #include "consistency/engine_test_util.hpp"
+#include "support/alloc_counter.hpp"
 #include "util/cdf.hpp"
 
 namespace cdnsim::consistency {
@@ -153,6 +158,84 @@ TEST_P(VisitBatchEquivalenceTest, BatchedMatchesLegacyPerVisitPath) {
 INSTANTIATE_TEST_SUITE_P(FiveSystems, VisitBatchEquivalenceTest,
                          ::testing::ValuesIn(kSystems),
                          [](const auto& info) { return info.param.name; });
+
+TEST(VisitBatchTieTest, PumpVisitAndBulkWalkSplitOneInstant) {
+  // One server whose two users have equal phases (start window 0), so
+  // they visit together every second. Every delay is an exact binary
+  // fraction — 0.25 s of serialization per message and a 0.25 s one-way
+  // floor (propagation rounds away against the huge signal speed) — so the
+  // update at t = 65 blocks the server at 65.5, the pump visit of user 0 at
+  // 66 starts a fetch, and its response lands at exactly 67.0: after user
+  // 0's pump visit at 67 (armed at 66) and before user 1's (armed at 67
+  // itself). The server unblocks between the two tied visits, so user 1's
+  // visit at 67 opens the next bulk walk: the walk's run must start at
+  // (67, user 1), and user 0's pumped visit at 67 must not be counted again.
+  const auto scenario = small_scenario(1);
+  const trace::UpdateTrace updates(std::vector<sim::SimTime>{5.0});
+  EngineConfig batched = base_config(UpdateMethod::kInvalidation);
+  batched.users_per_server = 2;
+  batched.user_poll_period_s = 1.0;
+  batched.user_start_window_s = 0.0;
+  batched.update_packet_kb = 1.0;
+  batched.light_packet_kb = 1.0;
+  batched.provider_uplink_kbps = 4.0;
+  batched.server_uplink_kbps = 4.0;
+  batched.latency.base_delay_s = 0.25;
+  batched.latency.signal_speed_km_per_s = 1e300;
+  batched.tail_s = 20.0;
+  batched.visit_batching = true;
+  EngineConfig legacy = batched;
+  legacy.visit_batching = false;
+
+  const auto batched_run = run(*scenario.nodes, updates, batched);
+  const auto legacy_run = run(*scenario.nodes, updates, legacy);
+  expect_identical(fingerprint(*batched_run->engine),
+                   fingerprint(*legacy_run->engine));
+
+  // Each visit (every second from 0 to the 85 s horizon) is exactly one
+  // row, and the tied instant went through the blocked path: both users'
+  // visits at 66 waited for the fetch that answered at 67.
+  const cdn::UserPopulationLog& logs = batched_run->engine->user_logs();
+  ASSERT_EQ(logs.user_count(), 2u);
+  for (std::size_t u = 0; u < logs.user_count(); ++u) {
+    const auto& rows = logs.log(static_cast<cdn::UserId>(u)).observations();
+    ASSERT_EQ(rows.size(), 85u) << "user " << u;
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      EXPECT_EQ(rows[i].request_time, static_cast<double>(i)) << "user " << u;
+    }
+    EXPECT_EQ(rows[66].serve_time, 67.0) << "user " << u;
+    EXPECT_EQ(rows[67].serve_time, 67.0) << "user " << u;
+    EXPECT_EQ(rows[67].version, 1) << "user " << u;
+  }
+  obs::MetricsRegistry metrics = batched_run->engine->metrics();
+  EXPECT_EQ(metrics.counter("engine.user_visits").value, 2u * 85u);
+}
+
+// Per-server visit state is O(users), not O(visits): the bytes allocated
+// by constructing and preparing an engine must not depend on how long the
+// run lasts. (A stored schedule costs ~12 B per visit, ~18 MB here.)
+TEST(VisitBatchMemoryTest, PreparedVisitStateDoesNotGrowWithHorizon) {
+#if CDNSIM_ALLOC_COUNTING
+  const auto scenario = small_scenario();
+  const auto updates = short_game();
+  const auto prepared_bytes = [&](sim::SimTime tail_s) {
+    EngineConfig ec = base_config(UpdateMethod::kTtl);
+    ec.tail_s = tail_s;
+    sim::Simulator simulator;
+    const std::uint64_t before = testsupport::allocated_bytes();
+    UpdateEngine engine(simulator, *scenario.nodes, updates, ec);
+    engine.prepare();
+    return testsupport::allocated_bytes() - before;
+  };
+  prepared_bytes(120.0);  // warm any lazily grown pools
+  const std::uint64_t short_run = prepared_bytes(120.0);
+  const std::uint64_t long_run = prepared_bytes(100000.0);
+  EXPECT_GT(short_run, 0u);
+  EXPECT_EQ(long_run, short_run);
+#else
+  GTEST_SKIP() << "allocation counting disabled under sanitizers";
+#endif
+}
 
 }  // namespace
 }  // namespace cdnsim::consistency

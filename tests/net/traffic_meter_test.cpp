@@ -83,6 +83,8 @@ TEST(TrafficMeterTest, NegativeInputsThrow) {
                cdnsim::PreconditionError);
   EXPECT_THROW(meter.record(MessageKind::kPushUpdate, 1, 1.0, -1.0),
                cdnsim::PreconditionError);
+  EXPECT_THROW(meter.record(MessageKind::kPushUpdate, -2, 1.0, 1.0),
+               cdnsim::PreconditionError);
 }
 
 }  // namespace

@@ -1,18 +1,23 @@
-// Stress tests for the precomputed visit schedule against a naive
+// Stress tests for the per-server visit streams against a naive
 // one-event-per-visit model.
 //
-// The batched visit path in the engine trusts trace::build_visit_schedule
-// to reproduce the legacy PeriodicTimer arrivals bit for bit. Here the
-// schedule is checked against the real thing: per-user periodic timers run
-// on a Simulator, recording every (time, user) arrival. The regimes cover
-// empty schedules, all visits inside one start window, visits landing
+// The batched visit path in the engine trusts trace::VisitStream to
+// reproduce the legacy PeriodicTimer arrivals bit for bit. Here the streams
+// are checked against the real thing: per-user periodic timers run on a
+// Simulator, recording every (time, user) arrival. Every stream is consumed
+// three ways — visit by visit (pop), in bulk windows mixed with pops
+// (advance_until, the engine's walk), and per user from the phase (the
+// engine's fold) — and each must agree with the reference. The regimes
+// cover empty streams, all visits inside one start window, visits landing
 // exactly on the horizon (dropped, matching the engine's `now >= end`
-// stop), and u32 user-index limits. Walking a built schedule must not
-// allocate (the engine's catch-up loop runs inside the hot event path).
+// stop), and u32 user-index limits. Advancing a stream must not allocate
+// (the engine's catch-up walk runs inside the hot event path).
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <limits>
+#include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -67,37 +72,116 @@ std::vector<std::vector<Arrival>> naive_arrivals(std::size_t server_count,
   return out;
 }
 
+// Drains a copy of `stream` visit by visit; users as global ids.
+std::vector<Arrival> pop_all(VisitStream stream, std::uint32_t base) {
+  std::vector<Arrival> out;
+  while (!stream.exhausted()) {
+    const VisitPos v = stream.pop();
+    out.push_back({v.time, base + v.user});
+  }
+  EXPECT_EQ(stream.next().time, std::numeric_limits<sim::SimTime>::infinity());
+  return out;
+}
+
+// Consumes a copy of `stream` in random bulk windows mixed with single
+// pops, checking every count and every next() against the reference.
+void expect_bulk_walk_matches(VisitStream stream, std::uint32_t base,
+                              const std::vector<Arrival>& reference,
+                              util::Rng& meta) {
+  std::size_t i = 0;
+  const auto expect_next = [&] {
+    if (i < reference.size()) {
+      ASSERT_EQ(stream.next().time, reference[i].time) << "visit " << i;
+      ASSERT_EQ(base + stream.next().user, reference[i].user) << "visit " << i;
+    } else {
+      ASSERT_TRUE(stream.exhausted());
+    }
+  };
+  expect_next();
+  while (i < reference.size()) {
+    if (meta.uniform(0.0, 1.0) < 0.3) {
+      const VisitPos v = stream.pop();
+      ASSERT_EQ((Arrival{v.time, base + v.user}), reference[i]);
+      ++i;
+    } else {
+      // Cut anywhere, including exactly at a visit time (ties).
+      const sim::SimTime upto =
+          meta.uniform(0.0, 1.0) < 0.5
+              ? reference[std::min(reference.size() - 1,
+                                   i + meta.index(4))].time
+              : stream.next().time + meta.uniform(0.0, 25.0);
+      std::size_t expected = 0;
+      while (i + expected < reference.size() &&
+             reference[i + expected].time < upto) {
+        ++expected;
+      }
+      ASSERT_EQ(stream.advance_until(upto), expected);
+      i += expected;
+    }
+    expect_next();
+  }
+  EXPECT_EQ(stream.advance_until(std::numeric_limits<sim::SimTime>::infinity()),
+            0u);
+}
+
+// Regenerates each user's visits from its phase with the stream's
+// arithmetic (the engine's fold) and checks them against that user's
+// subsequence of the reference.
+void expect_replay_matches(const VisitStream& stream, std::uint32_t base,
+                           std::size_t users,
+                           const std::vector<Arrival>& reference) {
+  for (std::uint32_t k = 0; k < users; ++k) {
+    std::vector<sim::SimTime> expected;
+    for (const Arrival& a : reference) {
+      if (a.user == base + k) expected.push_back(a.time);
+    }
+    std::vector<sim::SimTime> replayed;
+    for (sim::SimTime t = stream.phase(k); t < stream.end_time();
+         t += stream.period()) {
+      replayed.push_back(t);
+    }
+    EXPECT_EQ(replayed, expected) << "user " << base + k;
+  }
+}
+
 void expect_matches_naive(std::size_t server_count,
                           std::size_t users_per_server, sim::SimTime period_s,
                           sim::SimTime start_window_s,
                           sim::SimTime end_time_s, std::uint64_t seed) {
-  util::Rng schedule_rng(seed);
+  util::Rng stream_rng(seed);
   util::Rng naive_rng(seed);
-  const VisitSchedule schedule =
-      build_visit_schedule(server_count, users_per_server, period_s,
-                           start_window_s, end_time_s, schedule_rng);
+  const std::vector<VisitStream> streams =
+      make_visit_streams(server_count, users_per_server, period_s,
+                         start_window_s, end_time_s, stream_rng);
   const auto reference =
       naive_arrivals(server_count, users_per_server, period_s, start_window_s,
                      end_time_s, naive_rng);
   // Both paths must consume the identical RNG prefix.
-  EXPECT_EQ(schedule_rng.uniform(0.0, 1.0), naive_rng.uniform(0.0, 1.0));
+  EXPECT_EQ(stream_rng.uniform(0.0, 1.0), naive_rng.uniform(0.0, 1.0));
 
-  ASSERT_EQ(schedule.servers.size(), server_count);
-  std::size_t total = 0;
+  ASSERT_EQ(streams.size(), server_count);
+  util::Rng meta(seed ^ 0xb0b);
   for (std::size_t s = 0; s < server_count; ++s) {
-    const auto& ps = schedule.servers[s];
-    ASSERT_EQ(ps.times.size(), ps.users.size());
-    ASSERT_EQ(ps.times.size(), reference[s].size())
-        << "server " << s << " visit count diverges from the naive model";
-    for (std::size_t k = 0; k < ps.times.size(); ++k) {
-      EXPECT_EQ(ps.times[k], reference[s][k].time)
-          << "server " << s << " visit " << k;
-      EXPECT_EQ(ps.users[k], reference[s][k].user)
-          << "server " << s << " visit " << k;
+    SCOPED_TRACE("server " + std::to_string(s));
+    const auto base = static_cast<std::uint32_t>(s * users_per_server);
+    const std::vector<Arrival> popped = pop_all(streams[s], base);
+    ASSERT_EQ(popped.size(), reference[s].size())
+        << "visit count diverges from the naive model";
+    for (std::size_t k = 0; k < popped.size(); ++k) {
+      EXPECT_EQ(popped[k].time, reference[s][k].time) << "visit " << k;
+      EXPECT_EQ(popped[k].user, reference[s][k].user) << "visit " << k;
     }
-    total += ps.times.size();
+    expect_bulk_walk_matches(streams[s], base, reference[s], meta);
+    expect_replay_matches(streams[s], base, users_per_server, reference[s]);
   }
-  EXPECT_EQ(schedule.total_visits, total);
+}
+
+std::size_t visit_count(const std::vector<VisitStream>& streams) {
+  std::size_t total = 0;
+  for (VisitStream s : streams) {
+    total += s.advance_until(std::numeric_limits<sim::SimTime>::infinity());
+  }
+  return total;
 }
 
 TEST(VisitBatchStressTest, RandomizedRegimesMatchNaivePerVisitModel) {
@@ -119,14 +203,17 @@ TEST(VisitBatchStressTest, RandomizedRegimesMatchNaivePerVisitModel) {
 
 TEST(VisitBatchStressTest, EmptySchedulesWhenAllPhasesPastHorizon) {
   // Horizon at 0: every phase lands at or past it, so nobody ever visits
-  // and every per-server array stays empty. Then the partial case: a wide
-  // start window with an earlier horizon drops only the late starters.
+  // and every stream starts exhausted. Then the partial case: a wide start
+  // window with an earlier horizon drops only the late starters.
   util::Rng rng(9);
-  const VisitSchedule schedule = build_visit_schedule(4, 3, 10.0,
-                                                      /*start_window_s=*/100.0,
-                                                      /*end_time_s=*/0.0, rng);
-  EXPECT_EQ(schedule.total_visits, 0u);
-  for (const auto& ps : schedule.servers) EXPECT_TRUE(ps.times.empty());
+  const std::vector<VisitStream> streams =
+      make_visit_streams(4, 3, 10.0, /*start_window_s=*/100.0,
+                         /*end_time_s=*/0.0, rng);
+  for (const VisitStream& s : streams) {
+    EXPECT_TRUE(s.exhausted());
+    EXPECT_EQ(s.next().time, std::numeric_limits<sim::SimTime>::infinity());
+  }
+  EXPECT_EQ(visit_count(streams), 0u);
   expect_matches_naive(4, 3, 10.0, 100.0, 40.0, 11);
 }
 
@@ -134,14 +221,15 @@ TEST(VisitBatchStressTest, AllVisitsInsideOneWindow) {
   // Period longer than the horizon: each user visits exactly once, at its
   // phase, all inside the single [0, window) epoch.
   util::Rng rng(21);
-  const VisitSchedule schedule =
-      build_visit_schedule(3, 4, /*period_s=*/1000.0, /*start_window_s=*/5.0,
-                           /*end_time_s=*/5.0, rng);
-  EXPECT_EQ(schedule.total_visits, 12u);
-  for (const auto& ps : schedule.servers) {
-    ASSERT_EQ(ps.times.size(), 4u);
-    for (std::size_t k = 1; k < ps.times.size(); ++k) {
-      EXPECT_LE(ps.times[k - 1], ps.times[k]) << "not sorted";
+  const std::vector<VisitStream> streams =
+      make_visit_streams(3, 4, /*period_s=*/1000.0, /*start_window_s=*/5.0,
+                         /*end_time_s=*/5.0, rng);
+  EXPECT_EQ(visit_count(streams), 12u);
+  for (const VisitStream& s : streams) {
+    const std::vector<Arrival> visits = pop_all(s, 0);
+    ASSERT_EQ(visits.size(), 4u);
+    for (std::size_t k = 1; k < visits.size(); ++k) {
+      EXPECT_LE(visits[k - 1].time, visits[k].time) << "not sorted";
     }
   }
   expect_matches_naive(3, 4, 1000.0, 5.0, 5.0, 22);
@@ -152,56 +240,86 @@ TEST(VisitBatchStressTest, VisitExactlyAtHorizonIsDropped) {
   // horizon 10 the arrivals are {0, 2.5, 5, 7.5} — the t == 10 visit is
   // dropped by the strict < comparison, as the engine drops it.
   util::Rng rng(5);
-  const VisitSchedule schedule = build_visit_schedule(
+  const std::vector<VisitStream> streams = make_visit_streams(
       2, 1, /*period_s=*/2.5, /*start_window_s=*/0.0, /*end_time_s=*/10.0, rng);
-  for (const auto& ps : schedule.servers) {
-    ASSERT_EQ(ps.times.size(), 4u);
-    EXPECT_EQ(ps.times.front(), 0.0);
-    EXPECT_EQ(ps.times.back(), 7.5);
+  for (const VisitStream& s : streams) {
+    const std::vector<Arrival> visits = pop_all(s, 0);
+    ASSERT_EQ(visits.size(), 4u);
+    EXPECT_EQ(visits.front().time, 0.0);
+    EXPECT_EQ(visits.back().time, 7.5);
   }
   expect_matches_naive(2, 1, 2.5, 0.0, 10.0, 5);
+}
+
+TEST(VisitBatchStressTest, SimultaneousVisitsOrderByUserId) {
+  // Equal phases (zero start window): every visit is a three-way tie, which
+  // the stream breaks by user id — across pops and across a bulk window
+  // that ends exactly at the tied instant.
+  util::Rng rng(3);
+  VisitStream stream =
+      make_visit_streams(1, 3, /*period_s=*/4.0, /*start_window_s=*/0.0,
+                         /*end_time_s=*/12.0, rng)
+          .front();
+  EXPECT_EQ(stream.pop(), (VisitPos{0.0, 0}));
+  EXPECT_EQ(stream.next(), (VisitPos{0.0, 1}));
+  EXPECT_EQ(stream.advance_until(4.0), 2u);  // users 1 and 2 at t = 0
+  EXPECT_EQ(stream.next(), (VisitPos{4.0, 0}));
+  EXPECT_EQ(stream.pop(), (VisitPos{4.0, 0}));
+  EXPECT_EQ(stream.pop(), (VisitPos{4.0, 1}));
+  EXPECT_EQ(stream.advance_until(12.0), 4u);  // user 2 at 4, all at 8
+  EXPECT_TRUE(stream.exhausted());
+  expect_matches_naive(2, 3, 4.0, 0.0, 12.0, 3);
 }
 
 TEST(VisitBatchStressTest, UserIndicesBeyond16BitsSurvive) {
   // 70k users on one server: indices overflow u16 but must fit u32 intact.
   util::Rng rng(77);
-  const VisitSchedule schedule = build_visit_schedule(
+  const std::vector<VisitStream> streams = make_visit_streams(
       1, 70000, /*period_s=*/100.0, /*start_window_s=*/1.0,
       /*end_time_s=*/1.5, rng);
-  EXPECT_EQ(schedule.total_visits, 70000u);
+  const std::vector<Arrival> visits = pop_all(streams[0], 0);
+  EXPECT_EQ(visits.size(), 70000u);
   std::uint32_t max_user = 0;
-  for (const std::uint32_t u : schedule.servers[0].users) {
-    max_user = std::max(max_user, u);
-  }
+  for (const Arrival& a : visits) max_user = std::max(max_user, a.user);
   EXPECT_EQ(max_user, 69999u);
+  // Same stream, one bulk window: every user counted once.
+  VisitStream bulk = streams[0];
+  EXPECT_EQ(bulk.advance_until(1.5), 70000u);
+  EXPECT_TRUE(bulk.exhausted());
 }
 
 TEST(VisitBatchStressTest, RejectsUserPopulationsBeyond32Bits) {
   util::Rng rng(1);
   const std::size_t half =
       std::size_t{std::numeric_limits<std::uint32_t>::max()} / 2 + 1;
-  EXPECT_THROW(build_visit_schedule(half, 3, 10.0, 1.0, 0.0, rng),
+  EXPECT_THROW(make_visit_streams(half, 3, 10.0, 1.0, 0.0, rng),
                PreconditionError);
 }
 
 TEST(VisitBatchStressTest, WalkingASchedulePerformsNoAllocations) {
 #if CDNSIM_ALLOC_COUNTING
   util::Rng rng(123);
-  const VisitSchedule schedule =
-      build_visit_schedule(8, 5, 3.0, 50.0, 400.0, rng);
-  ASSERT_GT(schedule.total_visits, 0u);
-  // The engine's catch-up loop is exactly this shape: advance a cursor over
-  // the SoA arrays, reading times/users. It must stay off the
-  // heap — the loop runs inside the hot event path.
+  std::vector<VisitStream> streams =
+      make_visit_streams(8, 5, 3.0, 50.0, 400.0, rng);
+  // The engine's catch-up walk is exactly this shape: advance each stream
+  // window by window, interleaved with single pops and next() reads. It
+  // must stay off the heap — the walk runs inside the hot event path.
+  std::uint64_t visits = 0;
   double sink = 0.0;
   const std::uint64_t before = testsupport::allocation_count();
-  for (const auto& ps : schedule.servers) {
-    for (std::size_t k = 0; k < ps.times.size(); ++k) {
-      sink += ps.times[k] + static_cast<double>(ps.users[k]);
+  for (VisitStream& s : streams) {
+    for (sim::SimTime upto = 7.0; !s.exhausted(); upto += 7.0) {
+      visits += s.advance_until(upto);
+      if (!s.exhausted()) {
+        sink += s.pop().time;
+        ++visits;
+      }
+      sink += s.next().time < upto ? 1.0 : 0.0;
     }
   }
   const std::uint64_t after = testsupport::allocation_count();
-  EXPECT_EQ(after - before, 0u) << "schedule walk allocated";
+  EXPECT_EQ(after - before, 0u) << "stream walk allocated";
+  EXPECT_GT(visits, 0u);
   EXPECT_GT(sink, 0.0);
 #else
   GTEST_SKIP() << "allocation counting disabled under sanitizers";

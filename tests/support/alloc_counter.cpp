@@ -6,17 +6,20 @@
 
 namespace {
 std::atomic<std::uint64_t> g_allocations{0};
+std::atomic<std::uint64_t> g_allocated_bytes{0};
 }  // namespace
 
 #if CDNSIM_ALLOC_COUNTING
 void* operator new(std::size_t size) {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
+  g_allocated_bytes.fetch_add(size, std::memory_order_relaxed);
   if (void* p = std::malloc(size)) return p;
   throw std::bad_alloc();
 }
 
 void* operator new[](std::size_t size) {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
+  g_allocated_bytes.fetch_add(size, std::memory_order_relaxed);
   if (void* p = std::malloc(size)) return p;
   throw std::bad_alloc();
 }
@@ -31,6 +34,10 @@ namespace cdnsim::testsupport {
 
 std::uint64_t allocation_count() {
   return g_allocations.load(std::memory_order_relaxed);
+}
+
+std::uint64_t allocated_bytes() {
+  return g_allocated_bytes.load(std::memory_order_relaxed);
 }
 
 }  // namespace cdnsim::testsupport

@@ -29,4 +29,9 @@ namespace cdnsim::testsupport {
 // value when counting is disabled) so call sites need no #if around reads.
 std::uint64_t allocation_count();
 
+// Bytes requested from global operator new / new[] since process start,
+// counted beside allocation_count() (frees are not subtracted). Frozen like
+// allocation_count() when counting is disabled.
+std::uint64_t allocated_bytes();
+
 }  // namespace cdnsim::testsupport
