@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "analysis/ttl_inference.hpp"
 #include "util/cdf.hpp"
@@ -141,6 +142,57 @@ TEST_F(MeasurementStudyTest, MostServersBelowTtlBound) {
   for (const auto& day : results().daily_server_max) {
     EXPECT_GT(analysis::fraction_below_ttl(day, 60.0), 0.5);
   }
+}
+
+double sum_of(const std::vector<double>& xs) {
+  double sum = 0;
+  for (double x : xs) sum += x;
+  return sum;
+}
+
+TEST_F(MeasurementStudyTest, GoldenAnalysisValues) {
+  // Exact values recorded from the multi-scan analysis pipeline this study
+  // used before the one-pass rewrite (server index, flat timelines, the
+  // fraction sweep). Every output of the rewrite must match them bit for
+  // bit: the same doubles, the same min() choices, the same summation order.
+  const auto& r = results();
+  EXPECT_EQ(r.daily_inconsistent_server_fraction,
+            (std::vector<double>{0.34233073437138656, 0.41397038322262658,
+                                 0.36255456687581361}));
+  EXPECT_EQ(r.request_inconsistency.size(), 5272u);
+  EXPECT_EQ(sum_of(r.request_inconsistency), 172593.41454059965);
+  EXPECT_EQ(r.inner_cluster_inconsistency.size(), 915u);
+  EXPECT_EQ(sum_of(r.inner_cluster_inconsistency), 23460.853547404015);
+  EXPECT_EQ(r.intra_isp_inconsistency.size(), 4149u);
+  EXPECT_EQ(sum_of(r.intra_isp_inconsistency), 106177.58271606502);
+  const std::vector<double> inter_means{
+      33.233316696056654, 32.913575084371992, 32.887204324674912,
+      32.790334644592754, 33.244147309335219, 31.287189844444381,
+      32.479635821798745, 33.226633508726835, 31.307004107561827,
+      33.149880459912694, 31.613376868245101, 33.738038496084066,
+      32.44740661974739, 33.135649285662069, 31.657171849269485,
+      30.687087926907544, 33.19736828899638, 32.281655638524789,
+      31.558904990789483, 33.748248658705528, 33.106684611811588,
+      33.970060504903529, 35.603078383113122, 33.081934082926004,
+      36.661844370620003, 29.869916689489248, 28.979415679905191,
+  };
+  ASSERT_EQ(r.inter_isp_by_cluster.size(), inter_means.size());
+  for (std::size_t c = 0; c < inter_means.size(); ++c) {
+    EXPECT_EQ(r.inter_isp_by_cluster[c].mean, inter_means[c]) << "cluster " << c;
+  }
+  EXPECT_EQ(r.absence_events.size(), 91u);
+  double after_return = 0;
+  for (const auto& ev : r.absence_events) {
+    after_return += ev.inconsistency_after_return;
+  }
+  EXPECT_EQ(after_return, 1600.1777523048936);
+
+  UserPerspectiveConfig cfg;
+  cfg.base = small_config();
+  cfg.base.days = 1;
+  cfg.user_count = 40;
+  EXPECT_EQ(run_user_perspective_study(cfg).avg_inconsistent_server_fraction,
+            0.33031272324210031);
 }
 
 TEST(MeasurementStudyThreads, ParallelStudyIsByteIdenticalToSerial) {
