@@ -4,7 +4,9 @@
 # and re-run under ThreadSanitizer, then the visit walk, the user-metric
 # fold and its lazily built rows, time-series sampling, the per-visit
 # DNS path and the delivery path (pub/sub fan-out, reliable delivery,
-# fault injection, transport timing) rebuilt and re-run under ASan+UBSan,
+# fault injection, transport timing) and the Section 3 analysis (poll-log
+# server index, cluster timelines, the inconsistent-fraction sweep) rebuilt
+# and re-run under ASan+UBSan,
 # then a Release-mode smoke
 # run of the core micro-benchmarks gated against the committed
 # BENCH_core.json baseline (catches perf-path code that only compiles, only
@@ -54,34 +56,34 @@ trap 'rm -rf "${tmp_dir}"' EXIT
 
 echo "== tier-1: standard build + ctest =="
 cmake -B build -S . >/dev/null
-cmake --build build -j
+cmake --build build -j "$(nproc)"
 ctest --test-dir build --output-on-failure -j
 
 if [[ "${run_tsan}" == "1" ]]; then
   echo
   echo "== tier-1: thread pool + batch runner under ThreadSanitizer =="
   cmake -B build-tsan -S . -DCDNSIM_SANITIZE=thread >/dev/null
-  cmake --build build-tsan -j --target cdnsim_tests
+  cmake --build build-tsan -j "$(nproc)" --target cdnsim_tests
   ./build-tsan/tests/cdnsim_tests \
     --gtest_filter='ThreadPool*:BatchRunner*:RngTest.Substream*:CdfTest.ConcurrentReadsOnSharedConstCdf:FaultInjectionProperty*:VisitBatch*:Catalog*:Ring*:Pubsub*:Fanout*'
 fi
 
 if [[ "${run_asan}" == "1" ]]; then
   echo
-  echo "== tier-1: visit walk, user-metric fold + delivery path under ASan+UBSan =="
+  echo "== tier-1: visit walk, user-metric fold, delivery path + analysis under ASan+UBSan =="
   cmake -B build-asan -S . -DCDNSIM_SANITIZE=address >/dev/null
-  cmake --build build-asan -j --target cdnsim_tests
+  cmake --build build-asan -j "$(nproc)" --target cdnsim_tests
   # halt_on_error makes a UBSan report fail the stage, not just print.
   UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
     ./build-asan/tests/cdnsim_tests \
-    --gtest_filter='*VisitBatch*:*Golden*:*UserMetric*:*TimeSeries*:EngineDns*:*Pubsub*:ReliableDelivery*:FaultInjection*:EngineTiming*'
+    --gtest_filter='*VisitBatch*:*Golden*:*UserMetric*:*TimeSeries*:EngineDns*:*Pubsub*:ReliableDelivery*:FaultInjection*:EngineTiming*:InconsistencyProperty*:PollLogTest*'
 fi
 
 if [[ "${run_perf}" == "1" ]]; then
   echo
   echo "== tier-1: Release perf smoke (micro_core) + regression gate =="
   cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
-  cmake --build build-release -j --target micro_core fig20_network_size
+  cmake --build build-release -j "$(nproc)" --target micro_core fig20_network_size
   # Note: the system google-benchmark predates duration suffixes, so the
   # value must be a plain double (no "s"/"x").
   ./build-release/bench/micro_core --benchmark_min_time=0.05 \
@@ -106,7 +108,7 @@ fi
 if [[ "${run_obs}" == "1" ]]; then
   echo
   echo "== tier-1: observability artifacts (determinism + format) =="
-  cmake --build build -j --target fig20_network_size
+  cmake --build build -j "$(nproc)" --target fig20_network_size
   obs_dir="${tmp_dir}/obs"
   mkdir -p "${obs_dir}"
   # The shape checks pass at --small scale, so a failed check (exit 1)
@@ -160,7 +162,7 @@ print(json.dumps(json.load(open(sys.argv[1]))["deterministic"]))' \
   # Time-resolved convergence curves: the sampler demo bench must survive
   # both job counts with byte-identical deterministic timeseries, and its
   # artifact must pass the schema + reconciliation checks.
-  cmake --build build -j --target ext_convergence_curves
+  cmake --build build -j "$(nproc)" --target ext_convergence_curves
   conv_dir="${tmp_dir}/obs-conv"
   mkdir -p "${conv_dir}"
   for jobs in 1 8; do
@@ -184,7 +186,7 @@ print(json.dumps(json.load(open(sys.argv[1]))["deterministic"]))' \
 
   # Same contract on the churn bench: churn runs on the one exact driver,
   # so its artifacts must not depend on the worker count.
-  cmake --build build -j --target ext_churn_robustness
+  cmake --build build -j "$(nproc)" --target ext_churn_robustness
   churn_dir="${tmp_dir}/obs-churn"
   mkdir -p "${churn_dir}"
   for jobs in 1 8; do
@@ -205,7 +207,7 @@ print(json.dumps(json.load(open(sys.argv[1]))["deterministic"]))' \
   # ring position) and --jobs the worker threads; both are pure execution
   # knobs, so the per-object metrics/csv must be byte-identical across the
   # whole grid, "auto" included.
-  cmake --build build -j --target ext_catalog_scale
+  cmake --build build -j "$(nproc)" --target ext_catalog_scale
   cat_dir="${tmp_dir}/obs-catalog"
   mkdir -p "${cat_dir}"
   for lanes in 1 auto; do
@@ -231,7 +233,7 @@ print(json.dumps(json.load(open(sys.argv[1]))["deterministic"]))' \
   # asserts the flow-control path actually fired (suppressions converted
   # into log catch-up reads) — a silently disabled window passes cmp but
   # not this.
-  cmake --build build -j --target ext_fanout_scale
+  cmake --build build -j "$(nproc)" --target ext_fanout_scale
   fan_dir="${tmp_dir}/obs-fanout"
   mkdir -p "${fan_dir}"
   for jobs in 1 8; do
@@ -287,7 +289,7 @@ fi
 if [[ "${run_fault}" == "1" ]]; then
   echo
   echo "== tier-1: fault injection + reliable delivery (determinism + metrics) =="
-  cmake --build build -j --target ext_fault_tolerance
+  cmake --build build -j "$(nproc)" --target ext_fault_tolerance
   fault_dir="${tmp_dir}/fault"
   mkdir -p "${fault_dir}"
   # Shape checks are calibrated to pass even at --small scale, so a failed

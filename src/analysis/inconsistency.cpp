@@ -1,50 +1,159 @@
 #include "analysis/inconsistency.hpp"
 
 #include <algorithm>
+#include <limits>
+#include <map>
 #include <unordered_map>
 
 #include "util/error.hpp"
 
 namespace cdnsim::analysis {
 
-SnapshotTimeline::SnapshotTimeline(const trace::PollLog& log) {
+namespace {
+
+/// Per-version minimum in one pass; a strict < keeps the first row in log
+/// order among equal times.
+std::vector<VersionTime> first_appearances(const trace::PollLog& log) {
+  std::unordered_map<trace::Version, std::size_t> slot_of;
+  std::vector<VersionTime> minima;
   for (const auto& obs : log.observations()) {
     if (!obs.answered) continue;
-    const auto it = alpha_.find(obs.version);
-    if (it == alpha_.end() || obs.time < it->second) {
-      alpha_[obs.version] = obs.time;
+    const auto [it, inserted] = slot_of.try_emplace(obs.version, minima.size());
+    if (inserted) {
+      minima.push_back({obs.version, obs.time});
+    } else if (obs.time < minima[it->second].time) {
+      minima[it->second].time = obs.time;
     }
   }
+  return minima;
 }
 
-SnapshotTimeline::SnapshotTimeline(const trace::UpdateTrace& updates,
-                                   sim::SimTime offset) {
-  alpha_[0] = 0;
+std::vector<VersionTime> update_times(const trace::UpdateTrace& updates,
+                                      sim::SimTime offset) {
+  std::vector<VersionTime> minima;
+  minima.push_back({0, 0});
   for (trace::Version v = 1; v <= updates.update_count(); ++v) {
-    alpha_[v] = updates.update_time(v) + offset;
+    minima.push_back({v, updates.update_time(v) + offset});
+  }
+  return minima;
+}
+
+}  // namespace
+
+SnapshotTimeline::SnapshotTimeline(const trace::PollLog& log)
+    : SnapshotTimeline(first_appearances(log)) {}
+
+SnapshotTimeline::SnapshotTimeline(const trace::UpdateTrace& updates,
+                                   sim::SimTime offset)
+    : SnapshotTimeline(update_times(updates, offset)) {}
+
+SnapshotTimeline::SnapshotTimeline(std::vector<VersionTime> minima) {
+  std::sort(minima.begin(), minima.end(),
+            [](const VersionTime& a, const VersionTime& b) {
+              return a.version < b.version;
+            });
+  CDNSIM_EXPECTS(std::adjacent_find(minima.begin(), minima.end(),
+                                    [](const VersionTime& a, const VersionTime& b) {
+                                      return a.version == b.version;
+                                    }) == minima.end(),
+                 "each version needs exactly one first-appearance time");
+  const std::size_t n = minima.size();
+  versions_.resize(n);
+  alpha_.resize(n);
+  later_min_.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    versions_[i] = minima[i].version;
+    alpha_[i] = minima[i].time;
+  }
+  // Appearance times are not necessarily monotone in version (a laggard
+  // server can "reveal" an old snapshot late), so superseded_at needs the
+  // minimum over all later versions. std::min keeps its first argument on
+  // ties, so each entry is the lowest version's alpha among the minimal ones.
+  for (std::size_t i = n; i-- > 0;) {
+    later_min_[i] = i + 1 == n ? alpha_[i] : std::min(alpha_[i], later_min_[i + 1]);
   }
 }
 
 std::optional<sim::SimTime> SnapshotTimeline::first_appearance(
     trace::Version v) const {
-  const auto it = alpha_.find(v);
-  if (it == alpha_.end()) return std::nullopt;
-  return it->second;
+  const auto it = std::lower_bound(versions_.begin(), versions_.end(), v);
+  if (it == versions_.end() || *it != v) return std::nullopt;
+  return alpha_[static_cast<std::size_t>(it - versions_.begin())];
 }
 
 std::optional<sim::SimTime> SnapshotTimeline::superseded_at(trace::Version v) const {
-  // alpha_ is ordered by version; find the earliest appearance time among
-  // versions > v. Appearance times are not necessarily monotone in version
-  // (a laggard server can "reveal" an old snapshot late), so take the min.
-  auto it = alpha_.upper_bound(v);
-  if (it == alpha_.end()) return std::nullopt;
-  sim::SimTime best = it->second;
-  for (; it != alpha_.end(); ++it) best = std::min(best, it->second);
-  return best;
+  // The earliest appearance time among versions > v.
+  const auto it = std::upper_bound(versions_.begin(), versions_.end(), v);
+  if (it == versions_.end()) return std::nullopt;
+  return later_min_[static_cast<std::size_t>(it - versions_.begin())];
 }
 
 trace::Version SnapshotTimeline::max_version() const {
-  return alpha_.empty() ? 0 : alpha_.rbegin()->first;
+  return versions_.empty() ? 0 : versions_.back();
+}
+
+ClusterTimelines::ClusterTimelines(const trace::PollLog& log,
+                                   const std::vector<std::size_t>& cluster_of,
+                                   std::size_t cluster_count)
+    : cluster_count_(cluster_count) {
+  std::unordered_map<trace::Version, std::size_t> slot_of;
+  const auto& observations = log.observations();
+  for (std::size_t row = 0; row < observations.size(); ++row) {
+    const auto& obs = observations[row];
+    if (!obs.answered) continue;
+    const auto server = static_cast<std::size_t>(obs.server);
+    CDNSIM_EXPECTS(obs.server >= 0 && server < cluster_of.size() &&
+                       cluster_of[server] < cluster_count,
+                   "poll-log server outside the clustering");
+    const auto [it, inserted] = slot_of.try_emplace(obs.version, versions_.size());
+    if (inserted) {
+      versions_.push_back(obs.version);
+      earliest_.resize(earliest_.size() + cluster_count);
+    }
+    Earliest& e = earliest_[it->second * cluster_count + cluster_of[server]];
+    // Rows arrive in log order, so a strict < keeps the first minimal row.
+    if (e.row == kAbsent || obs.time < e.time) e = {obs.time, row};
+  }
+  // Per version, the cluster holding the overall earliest row and the best
+  // other one, ordered by (time, log position) as a log scan would pick.
+  const auto before = [](const Earliest& a, const Earliest& b) {
+    return a.time < b.time || (!(b.time < a.time) && a.row < b.row);
+  };
+  best_.assign(versions_.size(), kAbsent);
+  second_.assign(versions_.size(), kAbsent);
+  for (std::size_t slot = 0; slot < versions_.size(); ++slot) {
+    const Earliest* row = &earliest_[slot * cluster_count];
+    for (std::size_t c = 0; c < cluster_count; ++c) {
+      if (row[c].row == kAbsent) continue;
+      if (best_[slot] == kAbsent || before(row[c], row[best_[slot]])) {
+        second_[slot] = best_[slot];
+        best_[slot] = c;
+      } else if (second_[slot] == kAbsent || before(row[c], row[second_[slot]])) {
+        second_[slot] = c;
+      }
+    }
+  }
+}
+
+SnapshotTimeline ClusterTimelines::local(std::size_t cluster) const {
+  CDNSIM_EXPECTS(cluster < cluster_count_, "cluster index out of range");
+  std::vector<VersionTime> minima;
+  for (std::size_t slot = 0; slot < versions_.size(); ++slot) {
+    const Earliest& e = earliest_[slot * cluster_count_ + cluster];
+    if (e.row != kAbsent) minima.push_back({versions_[slot], e.time});
+  }
+  return SnapshotTimeline(std::move(minima));
+}
+
+SnapshotTimeline ClusterTimelines::complement(std::size_t cluster) const {
+  CDNSIM_EXPECTS(cluster < cluster_count_, "cluster index out of range");
+  std::vector<VersionTime> minima;
+  for (std::size_t slot = 0; slot < versions_.size(); ++slot) {
+    const std::size_t pick = best_[slot] != cluster ? best_[slot] : second_[slot];
+    if (pick == kAbsent) continue;
+    minima.push_back({versions_[slot], earliest_[slot * cluster_count_ + pick].time});
+  }
+  return SnapshotTimeline(std::move(minima));
 }
 
 std::vector<double> request_inconsistency_lengths(const trace::PollLog& log,
@@ -64,7 +173,7 @@ std::vector<double> request_inconsistency_lengths(const trace::PollLog& log,
 }
 
 std::vector<double> server_inconsistency_lengths(
-    const std::vector<trace::Observation>& server_observations,
+    std::span<const trace::Observation> server_observations,
     const SnapshotTimeline& timeline) {
   // beta_s(v): last time this server served version v.
   std::map<trace::Version, sim::SimTime> beta;
@@ -85,7 +194,7 @@ std::vector<double> server_inconsistency_lengths(
 }
 
 std::vector<Interval> server_inconsistency_intervals(
-    const std::vector<trace::Observation>& server_observations,
+    std::span<const trace::Observation> server_observations,
     const SnapshotTimeline& timeline) {
   // beta_s(v): last time this server served version v (as in the lengths).
   std::map<trace::Version, sim::SimTime> beta;
@@ -126,7 +235,7 @@ double merged_total(std::vector<Interval> intervals) {
   return total;
 }
 
-double consistency_ratio(const std::vector<trace::Observation>& server_observations,
+double consistency_ratio(std::span<const trace::Observation> server_observations,
                          const SnapshotTimeline& timeline, sim::SimTime total_time) {
   CDNSIM_EXPECTS(total_time > 0, "total trace time must be positive");
   const auto lengths = server_inconsistency_lengths(server_observations, timeline);
@@ -158,25 +267,80 @@ double average_inconsistent_server_fraction(const trace::PollLog& log,
                                             const SnapshotTimeline& timeline,
                                             sim::SimTime start, sim::SimTime end,
                                             sim::SimTime round_s) {
+  return average_inconsistent_server_fraction(trace::ServerIndex(log), timeline,
+                                              start, end, round_s);
+}
+
+double average_inconsistent_server_fraction(const trace::ServerIndex& index,
+                                            const SnapshotTimeline& timeline,
+                                            sim::SimTime start, sim::SimTime end,
+                                            sim::SimTime round_s) {
   CDNSIM_EXPECTS(round_s > 0 && end > start, "invalid averaging window");
-  double sum = 0;
-  std::size_t rounds = 0;
+  // The round instants, stepped exactly as the per-round loop steps them
+  // (non-decreasing, so both window bounds only move forward).
+  std::vector<sim::SimTime> instants;
   for (sim::SimTime t = start + round_s; t <= end; t += round_s) {
-    sum += inconsistent_server_fraction(log, timeline, t, round_s);
-    ++rounds;
+    instants.push_back(t);
   }
-  return rounds == 0 ? 0.0 : sum / static_cast<double>(rounds);
+  std::vector<std::size_t> stale(instants.size(), 0);
+  std::vector<std::size_t> present(instants.size(), 0);
+
+  struct Answered {
+    sim::SimTime time;
+    std::size_t pos;             // position in the server's log-order rows
+    sim::SimTime superseded_at;  // +inf: never superseded
+  };
+  constexpr sim::SimTime kNever = std::numeric_limits<sim::SimTime>::infinity();
+  std::vector<Answered> answered;
+  for (std::size_t s = 0; s < index.servers().size(); ++s) {
+    const auto rows = index.rows(s);
+    answered.clear();
+    for (std::size_t pos = 0; pos < rows.size(); ++pos) {
+      if (!rows[pos].answered) continue;
+      answered.push_back({rows[pos].time, pos,
+                          timeline.superseded_at(rows[pos].version).value_or(kNever)});
+    }
+    // Time order; on equal times the first row in log order sorts last, so
+    // the last row at or before an instant is the one the definition keeps.
+    std::sort(answered.begin(), answered.end(),
+              [](const Answered& a, const Answered& b) {
+                return a.time < b.time || (!(b.time < a.time) && a.pos > b.pos);
+              });
+    std::size_t next = 0;  // rows [0, next) are at or before the instant
+    for (std::size_t k = 0; k < instants.size(); ++k) {
+      const sim::SimTime t = instants[k];
+      while (next < answered.size() && answered[next].time <= t) ++next;
+      if (next == 0) continue;
+      const Answered& latest = answered[next - 1];
+      if (latest.time <= t - round_s) continue;  // window is (t - round_s, t]
+      ++present[k];
+      if (latest.superseded_at <= t) ++stale[k];
+    }
+  }
+  double sum = 0;
+  for (std::size_t k = 0; k < instants.size(); ++k) {
+    sum += present[k] == 0 ? 0.0
+                           : static_cast<double>(stale[k]) /
+                                 static_cast<double>(present[k]);
+  }
+  return instants.empty() ? 0.0 : sum / static_cast<double>(instants.size());
 }
 
 std::vector<AbsenceEvent> extract_absences(const trace::PollLog& log,
                                            const SnapshotTimeline& timeline,
                                            sim::SimTime poll_period) {
+  return extract_absences(trace::ServerIndex(log), timeline, poll_period);
+}
+
+std::vector<AbsenceEvent> extract_absences(const trace::ServerIndex& index,
+                                           const SnapshotTimeline& timeline,
+                                           sim::SimTime poll_period) {
   CDNSIM_EXPECTS(poll_period > 0, "poll period must be positive");
   std::vector<AbsenceEvent> out;
-  for (net::NodeId server : log.servers()) {
-    const auto observations = log.for_server(server);
+  for (std::size_t s = 0; s < index.servers().size(); ++s) {
+    const net::NodeId server = index.servers()[s];
     const trace::Observation* prev_answered = nullptr;
-    for (const auto& obs : observations) {
+    for (const auto& obs : index.rows(s)) {
       if (!obs.answered) continue;
       if (prev_answered != nullptr) {
         const double gap = obs.time - prev_answered->time - poll_period;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
-#include <unordered_map>
 
 #include "util/error.hpp"
 #include "util/stats.hpp"
@@ -13,20 +12,14 @@ namespace cdnsim::analysis {
 std::vector<double> cluster_average_inconsistency(
     const trace::PollLog& day_log, const SnapshotTimeline& timeline,
     const std::vector<std::vector<net::NodeId>>& cluster_members) {
-  // Group observations by server once.
-  std::unordered_map<net::NodeId, std::vector<trace::Observation>> by_server;
-  for (const auto& obs : day_log.observations()) {
-    by_server[obs.server].push_back(obs);
-  }
+  const trace::ServerIndex by_server(day_log);
   std::vector<double> out;
   out.reserve(cluster_members.size());
   for (const auto& members : cluster_members) {
     double sum = 0;
     std::size_t n = 0;
     for (net::NodeId s : members) {
-      const auto it = by_server.find(s);
-      if (it == by_server.end()) continue;
-      for (double len : server_inconsistency_lengths(it->second, timeline)) {
+      for (double len : server_inconsistency_lengths(by_server.find(s), timeline)) {
         sum += len;
         ++n;
       }
@@ -97,14 +90,11 @@ double spearman(const std::vector<double>& a, const std::vector<double>& b) {
 
 std::vector<double> per_server_max_inconsistency(const trace::PollLog& day_log,
                                                  const SnapshotTimeline& timeline) {
-  std::unordered_map<net::NodeId, std::vector<trace::Observation>> by_server;
-  for (const auto& obs : day_log.observations()) {
-    by_server[obs.server].push_back(obs);
-  }
+  const trace::ServerIndex by_server(day_log);
   std::vector<double> out;
-  out.reserve(by_server.size());
-  for (const auto& [server, observations] : by_server) {
-    const auto lengths = server_inconsistency_lengths(observations, timeline);
+  out.reserve(by_server.servers().size());
+  for (std::size_t s = 0; s < by_server.servers().size(); ++s) {
+    const auto lengths = server_inconsistency_lengths(by_server.rows(s), timeline);
     double best = 0;
     for (double len : lengths) best = std::max(best, len);
     out.push_back(best);

@@ -50,7 +50,8 @@ double rank_instability(const std::vector<std::vector<double>>& per_day);
 /// it near 1 across all day pairs).
 double spearman(const std::vector<double>& a, const std::vector<double>& b);
 
-/// Per-server maximum inconsistency within one day's log (Fig. 12's CDF).
+/// Per-server maximum inconsistency within one day's log (Fig. 12's CDF),
+/// in ascending server id.
 std::vector<double> per_server_max_inconsistency(const trace::PollLog& day_log,
                                                  const SnapshotTimeline& timeline);
 

@@ -154,20 +154,15 @@ MeasurementResults run_measurement_study(const MeasurementConfig& config) {
     const trace::PollLog corrected = analysis::correct_clock_skew(
         analysis::inject_clock_skew(engine.poll_log(), true_offsets), estimated);
     const analysis::SnapshotTimeline timeline(corrected);
-
-    // Group observations by server once for this day.
-    std::unordered_map<net::NodeId, std::vector<trace::Observation>> by_server;
-    for (const auto& obs : corrected.observations()) {
-      by_server[obs.server].push_back(obs);
-    }
+    // Each server's observations, grouped once for this day.
+    const trace::ServerIndex by_server(corrected);
 
     out.day_server_avg.assign(n, 0.0);
     out.day_server_max.assign(n, 0.0);
     out.server_day_sum.assign(n, 0.0);
     for (std::size_t i = 0; i < n; ++i) {
-      const auto it = by_server.find(static_cast<net::NodeId>(i));
-      if (it == by_server.end()) continue;
-      const auto lengths = analysis::server_inconsistency_lengths(it->second, timeline);
+      const auto lengths = analysis::server_inconsistency_lengths(
+          by_server.find(static_cast<net::NodeId>(i)), timeline);
       double sum = 0;
       double mx = 0;
       for (double len : lengths) {
@@ -198,22 +193,18 @@ MeasurementResults run_measurement_study(const MeasurementConfig& config) {
     const sim::SimTime window_start = in.ec.trace_offset_s;
     const sim::SimTime window_end = in.ec.trace_offset_s + in.game.duration();
     out.inconsistent_fraction = analysis::average_inconsistent_server_fraction(
-        corrected, timeline, window_start, window_end, config.observer_period_s);
+        by_server, timeline, window_start, window_end, config.observer_period_s);
 
     // Inner-cluster lengths with cluster-local alpha (Fig. 5).
-    for (const auto& members : results.geo_clusters.members) {
+    const analysis::ClusterTimelines geo(corrected, results.geo_clusters.cluster_of,
+                                         results.geo_clusters.cluster_count());
+    for (std::size_t c = 0; c < results.geo_clusters.cluster_count(); ++c) {
+      const auto& members = results.geo_clusters.members[c];
       if (members.size() < 3) continue;
-      trace::PollLog cluster_log;
+      const analysis::SnapshotTimeline local = geo.local(c);
       for (net::NodeId s : members) {
-        const auto it = by_server.find(s);
-        if (it == by_server.end()) continue;
-        for (const auto& obs : it->second) cluster_log.add(obs);
-      }
-      const analysis::SnapshotTimeline local(cluster_log);
-      for (net::NodeId s : members) {
-        const auto it = by_server.find(s);
-        if (it == by_server.end()) continue;
-        for (double len : analysis::server_inconsistency_lengths(it->second, local)) {
+        for (double len :
+             analysis::server_inconsistency_lengths(by_server.find(s), local)) {
           if (len > 0) out.inner_cluster_lengths.push_back(len);
         }
       }
@@ -221,26 +212,19 @@ MeasurementResults run_measurement_study(const MeasurementConfig& config) {
 
     // ISP analysis (Fig. 9): intra uses the cluster-local alpha, inter uses
     // the earliest appearance among all *other* clusters.
+    const analysis::ClusterTimelines isp(corrected, results.isp_clusters.cluster_of,
+                                         isp_count);
     out.intra_by_cluster.resize(isp_count);
     out.inter_by_cluster.resize(isp_count);
     for (std::size_t c = 0; c < isp_count; ++c) {
-      const auto& members = results.isp_clusters.members[c];
-      trace::PollLog cluster_log;
-      trace::PollLog complement_log;
-      for (const auto& obs : corrected.observations()) {
-        const std::size_t oc =
-            results.isp_clusters.cluster_of[static_cast<std::size_t>(obs.server)];
-        (oc == c ? cluster_log : complement_log).add(obs);
-      }
-      const analysis::SnapshotTimeline local(cluster_log);
-      const analysis::SnapshotTimeline other(complement_log);
-      for (net::NodeId s : members) {
-        const auto it = by_server.find(s);
-        if (it == by_server.end()) continue;
-        for (double len : analysis::server_inconsistency_lengths(it->second, local)) {
+      const analysis::SnapshotTimeline local = isp.local(c);
+      const analysis::SnapshotTimeline other = isp.complement(c);
+      for (net::NodeId s : results.isp_clusters.members[c]) {
+        const auto rows = by_server.find(s);
+        for (double len : analysis::server_inconsistency_lengths(rows, local)) {
           out.intra_by_cluster[c].push_back(len);
         }
-        for (double len : analysis::server_inconsistency_lengths(it->second, other)) {
+        for (double len : analysis::server_inconsistency_lengths(rows, other)) {
           out.inter_by_cluster[c].push_back(len);
         }
       }
@@ -248,7 +232,7 @@ MeasurementResults run_measurement_study(const MeasurementConfig& config) {
 
     // Absence events (Fig. 10).
     out.absence_events =
-        analysis::extract_absences(corrected, timeline, config.observer_period_s);
+        analysis::extract_absences(by_server, timeline, config.observer_period_s);
 
     out.observed_time = window_end - window_start;
     return out;

@@ -8,12 +8,17 @@
 //    laggard skipping versions double-counts overlapping supersessions);
 //  - merged_total is independent of interval order;
 //  - the whole pipeline is independent of poll-log observation order;
-//  - zero updates means zero inconsistency and a perfect consistency ratio.
+//  - zero updates means zero inconsistency and a perfect consistency ratio;
+//  - the one-pass Fig. 4b sweep equals the per-round definition bit for bit,
+//    and the server index and cluster timelines equal their log-scan
+//    definitions, on adversarial logs (shuffled, tied, on window edges).
 #include "analysis/inconsistency.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "util/rng.hpp"
@@ -198,6 +203,176 @@ TEST(InconsistencyProperty, ConsistencyRatioStaysInUnitInterval) {
           consistency_ratio(log.for_server(server), timeline, kWindow);
       EXPECT_GE(ratio, 0.0);
       EXPECT_LE(ratio, 1.0);
+    }
+  }
+}
+
+/// The rounds average_inconsistent_server_fraction averages over, stepped
+/// the same way (repeated addition).
+std::vector<sim::SimTime> round_instants(sim::SimTime start, sim::SimTime end,
+                                         sim::SimTime round_s) {
+  std::vector<sim::SimTime> out;
+  for (sim::SimTime t = start + round_s; t <= end; t += round_s) out.push_back(t);
+  return out;
+}
+
+/// A poll log built to trip a sweep: rows exactly at a round instant t_k or
+/// at its excluded window edge t_k - round_s, random versions (so first
+/// appearances are not monotone in version), unanswered rows, server 0 with
+/// equal timestamps carrying different versions, every server silent for a
+/// run of whole rounds, and the rows in shuffled order.
+trace::PollLog adversarial_log(util::Rng& rng, const std::vector<sim::SimTime>& instants,
+                               sim::SimTime round_s, std::size_t server_count) {
+  std::vector<trace::Observation> rows;
+  const std::size_t k_count = instants.size();
+  for (std::size_t s = 0; s < server_count; ++s) {
+    const auto server = static_cast<net::NodeId>(s);
+    const std::size_t silent_from = rng.index(k_count);
+    const std::size_t silent_to = silent_from + rng.index(k_count / 3 + 1);
+    const int n = static_cast<int>(rng.uniform_int(20, 90));
+    for (int i = 0; i < n; ++i) {
+      const std::size_t k = rng.index(k_count);
+      if (k >= silent_from && k <= silent_to) continue;
+      sim::SimTime t = 0;
+      const double pick = rng.uniform(0.0, 1.0);
+      if (pick < 0.3) {
+        t = instants[k];
+      } else if (pick < 0.5) {
+        t = instants[k] - round_s;
+      } else {
+        t = instants[k] - rng.uniform(0.0, round_s);
+      }
+      const auto version = static_cast<trace::Version>(rng.uniform_int(0, 12));
+      const bool answered = !rng.chance(0.1);
+      rows.push_back({server, t, version, answered});
+      if (s == 0) {  // the same instant again with another version
+        rows.push_back({server, t, static_cast<trace::Version>(rng.uniform_int(0, 12)),
+                        true});
+      }
+    }
+  }
+  rng.shuffle(rows);
+  trace::PollLog log;
+  for (const auto& row : rows) log.add(row);
+  return log;
+}
+
+TEST(InconsistencyProperty, FractionSweepEqualsPerRoundDefinition) {
+  util::Rng rng(77);
+  for (int trial = 0; trial < 40; ++trial) {
+    const sim::SimTime start = rng.uniform(0.0, 50.0);
+    const sim::SimTime round_s = rng.uniform(3.0, 12.0);
+    const sim::SimTime end = start + rng.uniform(100.0, 400.0);
+    const auto instants = round_instants(start, end, round_s);
+    ASSERT_FALSE(instants.empty());
+    const auto log = adversarial_log(rng, instants, round_s, 7);
+    const SnapshotTimeline timeline(log);
+
+    double sum = 0;
+    for (sim::SimTime t : instants) {
+      sum += inconsistent_server_fraction(log, timeline, t, round_s);
+    }
+    const double expected = sum / static_cast<double>(instants.size());
+    EXPECT_EQ(average_inconsistent_server_fraction(log, timeline, start, end, round_s),
+              expected)
+        << "trial " << trial;
+    EXPECT_EQ(average_inconsistent_server_fraction(trace::ServerIndex(log), timeline,
+                                                   start, end, round_s),
+              expected)
+        << "trial " << trial;
+  }
+}
+
+TEST(InconsistencyProperty, ServerIndexEqualsPerServerScan) {
+  util::Rng rng(78);
+  const auto instants = round_instants(0.0, kWindow, kPollPeriod);
+  const auto log = adversarial_log(rng, instants, kPollPeriod, 9);
+  const trace::ServerIndex index(log);
+  ASSERT_EQ(index.servers(), log.servers());
+  const auto same = [](const trace::Observation& a, const trace::Observation& b) {
+    return a.server == b.server && a.time == b.time && a.version == b.version &&
+           a.answered == b.answered;
+  };
+  for (std::size_t i = 0; i < index.servers().size(); ++i) {
+    const auto expected = log.for_server(index.servers()[i]);
+    const auto rows = index.rows(i);
+    ASSERT_EQ(rows.size(), expected.size());
+    EXPECT_TRUE(std::equal(rows.begin(), rows.end(), expected.begin(), same));
+    const auto found = index.find(index.servers()[i]);
+    EXPECT_EQ(found.data(), rows.data());
+    EXPECT_EQ(found.size(), rows.size());
+  }
+  EXPECT_TRUE(index.find(-1).empty());
+  EXPECT_TRUE(index.find(1000).empty());
+  EXPECT_TRUE(trace::ServerIndex(trace::PollLog{}).servers().empty());
+}
+
+void expect_same_timeline(const SnapshotTimeline& got, const SnapshotTimeline& want,
+                          const std::string& what) {
+  ASSERT_EQ(got.max_version(), want.max_version()) << what;
+  for (trace::Version v = -1; v <= want.max_version() + 1; ++v) {
+    EXPECT_EQ(got.first_appearance(v), want.first_appearance(v))
+        << what << " version " << v;
+    EXPECT_EQ(got.superseded_at(v), want.superseded_at(v)) << what << " version " << v;
+  }
+}
+
+/// alpha(v) and superseded_at(v) straight from the rows: the minimum time of
+/// the answered rows serving v, and of those serving any later version.
+void expect_timeline_of_rows(const trace::PollLog& log, const SnapshotTimeline& tl) {
+  trace::Version max_version = 0;
+  for (const auto& obs : log.observations()) {
+    if (obs.answered) max_version = std::max(max_version, obs.version);
+  }
+  EXPECT_EQ(tl.max_version(), max_version);
+  for (trace::Version v = -1; v <= max_version + 1; ++v) {
+    std::optional<sim::SimTime> alpha;
+    std::optional<sim::SimTime> superseded;
+    for (const auto& obs : log.observations()) {
+      if (!obs.answered) continue;
+      if (obs.version == v) alpha = std::min(alpha.value_or(obs.time), obs.time);
+      if (obs.version > v) {
+        superseded = std::min(superseded.value_or(obs.time), obs.time);
+      }
+    }
+    EXPECT_EQ(tl.first_appearance(v), alpha) << "version " << v;
+    EXPECT_EQ(tl.superseded_at(v), superseded) << "version " << v;
+  }
+}
+
+TEST(InconsistencyProperty, LogTimelineEqualsRowMinima) {
+  util::Rng rng(80);
+  const auto instants = round_instants(0.0, kWindow, kPollPeriod);
+  for (int trial = 0; trial < 10; ++trial) {
+    const auto log = adversarial_log(rng, instants, kPollPeriod, 6);
+    expect_timeline_of_rows(log, SnapshotTimeline(log));
+  }
+}
+
+TEST(InconsistencyProperty, ClusterTimelinesEqualPerClusterLogs) {
+  util::Rng rng(79);
+  const auto instants = round_instants(0.0, kWindow, kPollPeriod);
+  for (int trial = 0; trial < 10; ++trial) {
+    constexpr std::size_t kServers = 12;
+    const auto log = adversarial_log(rng, instants, kPollPeriod, kServers);
+    // Five clusters; cluster 4 never gets a server, so its local timeline is
+    // empty and its complement is the whole log.
+    constexpr std::size_t kClusters = 5;
+    std::vector<std::size_t> cluster_of(kServers);
+    for (auto& c : cluster_of) c = rng.index(kClusters - 1);
+    const ClusterTimelines clusters(log, cluster_of, kClusters);
+    for (std::size_t c = 0; c < kClusters; ++c) {
+      trace::PollLog inside;
+      trace::PollLog outside;
+      for (const auto& obs : log.observations()) {
+        (cluster_of[static_cast<std::size_t>(obs.server)] == c ? inside : outside)
+            .add(obs);
+      }
+      const std::string tag = "trial " + std::to_string(trial) + " cluster " +
+                              std::to_string(c);
+      expect_same_timeline(clusters.local(c), SnapshotTimeline(inside), tag + " local");
+      expect_same_timeline(clusters.complement(c), SnapshotTimeline(outside),
+                           tag + " complement");
     }
   }
 }

@@ -63,7 +63,9 @@ TEST(IspTest, SameSiteNodesOftenShareIsp) {
   for (NodeId id : reg.server_ids()) {
     const auto site = reg.info(id).site_index;
     const auto [it, inserted] = site_isp.emplace(site, reg.isp(id));
-    if (!inserted) EXPECT_EQ(it->second, reg.isp(id));
+    if (!inserted) {
+      EXPECT_EQ(it->second, reg.isp(id));
+    }
   }
 }
 

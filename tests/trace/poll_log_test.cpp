@@ -137,5 +137,35 @@ TEST(PollLogTest, LoadCsvRejectsNonBinaryAnsweredAndShortRows) {
   std::remove(path.c_str());
 }
 
+// from_chars parses "nan", "inf" and "-inf" as doubles, and NodeId is
+// signed; a NaN time breaks every sort and sweep comparator downstream and a
+// negative id breaks per-server indexing, so both are malformed rows.
+TEST(PollLogTest, LoadCsvRejectsNonFiniteTimesAndNegativeServers) {
+  const std::string path = testing::TempDir() + "/cdnsim_polllog_bad4.csv";
+  const auto expect_rejected = [&](const std::string& row, const char* field,
+                                   const char* column) {
+    {
+      std::ofstream out(path);
+      out << "server,time_s,version,answered\n"
+          << "0,1.5,2,1\n"
+          << row << "\n";
+    }
+    try {
+      PollLog::load_csv(path);
+      ADD_FAILURE() << "row \"" << row << "\" should throw";
+    } catch (const cdnsim::Error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(field), std::string::npos) << what;
+      EXPECT_NE(what.find("row 3"), std::string::npos) << what;
+      EXPECT_NE(what.find(column), std::string::npos) << what;
+    }
+  };
+  expect_rejected("0,nan,3,1", "time_s", "column 2");
+  expect_rejected("0,inf,3,1", "time_s", "column 2");
+  expect_rejected("0,-inf,3,0", "time_s", "column 2");
+  expect_rejected("-5,2.5,3,1", "server", "column 1");
+  std::remove(path.c_str());
+}
+
 }  // namespace
 }  // namespace cdnsim::trace
