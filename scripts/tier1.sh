@@ -3,8 +3,9 @@
 # concurrency layer (thread pool + batch runner + shared-Cdf reads) rebuilt
 # and re-run under ThreadSanitizer, then the visit walk, the user-metric
 # fold and its lazily built rows, time-series sampling, the per-visit
-# DNS path and the delivery path (pub/sub fan-out, reliable delivery,
-# fault injection, transport timing) and the Section 3 analysis (poll-log
+# DNS path and the delivery path (pub/sub fan-out, reliable delivery and
+# its slab-held state, edge-distance caches, fault injection and duplicate
+# delivery, transport timing) and the Section 3 analysis (poll-log
 # server index, cluster timelines, the inconsistent-fraction sweep) rebuilt
 # and re-run under ASan+UBSan,
 # then a Release-mode smoke
@@ -76,7 +77,7 @@ if [[ "${run_asan}" == "1" ]]; then
   # halt_on_error makes a UBSan report fail the stage, not just print.
   UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
     ./build-asan/tests/cdnsim_tests \
-    --gtest_filter='*VisitBatch*:*Golden*:*UserMetric*:*TimeSeries*:EngineDns*:*Pubsub*:ReliableDelivery*:FaultInjection*:EngineTiming*:InconsistencyProperty*:PollLogTest*'
+    --gtest_filter='*VisitBatch*:*Golden*:*UserMetric*:*TimeSeries*:EngineDns*:*Pubsub*:ReliableDelivery*:ReliableLifetime*:EdgeDistance*:FaultInjection*:EngineTiming*:InconsistencyProperty*:PollLogTest*'
 fi
 
 if [[ "${run_perf}" == "1" ]]; then

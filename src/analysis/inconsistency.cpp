@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <map>
 #include <unordered_map>
 
 #include "util/error.hpp"
@@ -36,6 +35,37 @@ std::vector<VersionTime> update_times(const trace::UpdateTrace& updates,
     minima.push_back({v, updates.update_time(v) + offset});
   }
   return minima;
+}
+
+/// beta_s(v), the last time the server served version v, for every version
+/// it answered with, in ascending version order. Each maximum starts from
+/// 0.0 (a negative corrected time yields 0). The pairs are collected into a
+/// per-thread buffer reused across calls; the study calls this four times
+/// per server per day.
+std::span<const VersionTime> last_served(
+    std::span<const trace::Observation> server_observations) {
+  thread_local std::vector<VersionTime> buffer;
+  buffer.clear();
+  for (const auto& obs : server_observations) {
+    if (obs.answered) buffer.push_back({obs.version, obs.time});
+  }
+  std::sort(buffer.begin(), buffer.end(),
+            [](const VersionTime& a, const VersionTime& b) {
+              return a.version < b.version;
+            });
+  // Reduce each run of one version to its maximum, in place. A max fold
+  // from +0.0 never adopts -0.0 or NaN, so the order within a run does not
+  // matter.
+  std::size_t out = 0;
+  for (std::size_t i = 0; i < buffer.size();) {
+    const trace::Version v = buffer[i].version;
+    sim::SimTime t = 0.0;
+    for (; i < buffer.size() && buffer[i].version == v; ++i) {
+      t = std::max(t, buffer[i].time);
+    }
+    buffer[out++] = {v, t};
+  }
+  return {buffer.data(), out};
 }
 
 }  // namespace
@@ -175,13 +205,7 @@ std::vector<double> request_inconsistency_lengths(const trace::PollLog& log,
 std::vector<double> server_inconsistency_lengths(
     std::span<const trace::Observation> server_observations,
     const SnapshotTimeline& timeline) {
-  // beta_s(v): last time this server served version v.
-  std::map<trace::Version, sim::SimTime> beta;
-  for (const auto& obs : server_observations) {
-    if (!obs.answered) continue;
-    auto& t = beta[obs.version];
-    t = std::max(t, obs.time);
-  }
+  const std::span<const VersionTime> beta = last_served(server_observations);
   std::vector<double> out;
   out.reserve(beta.size());
   for (const auto& [v, last_seen] : beta) {
@@ -196,13 +220,7 @@ std::vector<double> server_inconsistency_lengths(
 std::vector<Interval> server_inconsistency_intervals(
     std::span<const trace::Observation> server_observations,
     const SnapshotTimeline& timeline) {
-  // beta_s(v): last time this server served version v (as in the lengths).
-  std::map<trace::Version, sim::SimTime> beta;
-  for (const auto& obs : server_observations) {
-    if (!obs.answered) continue;
-    auto& t = beta[obs.version];
-    t = std::max(t, obs.time);
-  }
+  const std::span<const VersionTime> beta = last_served(server_observations);
   std::vector<Interval> out;
   out.reserve(beta.size());
   for (const auto& [v, last_seen] : beta) {

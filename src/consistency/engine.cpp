@@ -93,9 +93,9 @@ struct UpdateEngine::ServerState {
   Version version_at_window_start = 0;
   std::unique_ptr<sim::PeriodicTimer> adapt_timer;
   bool fetch_in_flight = false;
-  // Generation counter for the reliable fetch-RPC guard: bumped whenever a
-  // (re)issued fetch arms a new deadline, so stale deadlines become no-ops.
-  std::uint64_t fetch_epoch = 0;
+  // The reliable fetch-RPC guard's pending deadline: cancelled when the
+  // response lands or a (re)issued fetch arms a new one.
+  sim::EventHandle fetch_guard;
   std::vector<NodeId> pending_child_fetches;
   struct PendingServe {
     UserState* user;
@@ -159,10 +159,10 @@ struct UpdateEngine::ServerState {
   }
 };
 
-// One in-flight reliable message. Shared between the delivery events (which
-// may fire more than once: retransmissions, injected duplicates) and the
-// retry deadlines; `delivered` makes the receiver-side action at-most-once
-// and `acked` stops the retransmission chain.
+// One in-flight reliable message. Referenced by the delivery events (which
+// may fire more than once: retransmissions, injected duplicates), the acks
+// they send back and the pending retry deadline; `delivered` makes the
+// receiver-side action at-most-once, and an ack cancels the deadline.
 struct UpdateEngine::ReliableState {
   NodeId from = 0;
   NodeId to = 0;
@@ -170,7 +170,8 @@ struct UpdateEngine::ReliableState {
   double size_kb = 0;
   sim::EventAction action;
   bool delivered = false;
-  bool acked = false;
+  // The retry deadline armed by the latest attempt.
+  sim::EventHandle retry;
 
   // Flow-controlled pub/sub transmissions: which subscriber credit this
   // message holds. The first of {ack, give-up} settles it (pubsub_settled
@@ -184,6 +185,93 @@ struct UpdateEngine::ReliableState {
     bool settled = false;
   };
   std::optional<PubsubRef> pubsub;
+
+  // Slab bookkeeping: ReliableRef handles alive, next free entry.
+  std::uint32_t refs = 0;
+  std::uint32_t next_free = 0;
+};
+
+// The engine's ReliableState entries, in fixed-size chunks so an entry never
+// moves (a delivery runs its action in place while the action's own sends
+// add entries), recycled through a free list. An entry is freed when its
+// last ReliableRef dies: every copy in flight and every ack still holds one,
+// so late duplicates and retransmitted copies can still ack. The engine is
+// single-threaded, so the counts are plain integers.
+class UpdateEngine::ReliableSlab {
+ public:
+  std::uint32_t acquire() {
+    std::uint32_t i;
+    if (free_head_ != kNone) {
+      i = free_head_;
+      free_head_ = at(i).next_free;
+    } else {
+      if ((carved_ & kChunkMask) == 0) {
+        chunks_.push_back(std::make_unique<ReliableState[]>(kChunkSize));
+      }
+      i = carved_++;
+    }
+    ++live_;
+    return i;
+  }
+  ReliableState& at(std::uint32_t i) {
+    return chunks_[i >> kChunkBits][i & kChunkMask];
+  }
+  void retain(std::uint32_t i) { ++at(i).refs; }
+  /// Drops one reference; frees the entry on the last. Returns true when
+  /// an orphaned slab has just lost its last entry (the caller deletes it).
+  bool release(std::uint32_t i) {
+    ReliableState& st = at(i);
+    if (--st.refs != 0) return false;
+    st = ReliableState{};
+    st.next_free = free_head_;
+    free_head_ = i;
+    --live_;
+    return orphaned_ && live_ == 0;
+  }
+  std::size_t live() const { return live_; }
+  /// The engine is gone but queued events still hold references.
+  void orphan() { orphaned_ = true; }
+
+ private:
+  static constexpr unsigned kChunkBits = 8;
+  static constexpr std::uint32_t kChunkSize = 1u << kChunkBits;
+  static constexpr std::uint32_t kChunkMask = kChunkSize - 1;
+  static constexpr std::uint32_t kNone = 0xffffffffu;
+  std::vector<std::unique_ptr<ReliableState[]>> chunks_;
+  std::uint32_t carved_ = 0;
+  std::uint32_t free_head_ = kNone;
+  std::size_t live_ = 0;
+  bool orphaned_ = false;
+};
+
+// A counted reference to one slab entry, held by the closures of one
+// reliable transmission. A cancelled deadline or a delivery dropped at a
+// departed server releases its reference when the queue destroys the
+// closure.
+class UpdateEngine::ReliableRef {
+ public:
+  ReliableRef(ReliableSlab* slab, std::uint32_t index)
+      : slab_(slab), index_(index) {
+    slab_->retain(index_);
+  }
+  ReliableRef(const ReliableRef& other)
+      : slab_(other.slab_), index_(other.index_) {
+    slab_->retain(index_);
+  }
+  ReliableRef(ReliableRef&& other) noexcept
+      : slab_(std::exchange(other.slab_, nullptr)), index_(other.index_) {}
+  ReliableRef& operator=(const ReliableRef&) = delete;
+  ReliableRef& operator=(ReliableRef&&) = delete;
+  ~ReliableRef() {
+    if (slab_ != nullptr && slab_->release(index_)) delete slab_;
+  }
+
+  ReliableState& operator*() const { return slab_->at(index_); }
+  ReliableState* operator->() const { return &slab_->at(index_); }
+
+ private:
+  ReliableSlab* slab_;
+  std::uint32_t index_;
 };
 
 // ---------------------------------------------------------------------------
@@ -201,6 +289,7 @@ UpdateEngine::UpdateEngine(sim::Simulator& simulator,
       config_(config),
       rng_(config.seed),
       infra_(),
+      reliable_(std::make_unique<ReliableSlab>()),
       latency_(config.latency),
       provider_uplink_(config.provider_uplink_kbps),
       shared_provider_uplink_(shared_provider_uplink),
@@ -281,12 +370,24 @@ UpdateEngine::UpdateEngine(sim::Simulator& simulator,
     servers_.push_back(std::move(s));
   }
   versions_.assign(servers_.size(), 0);
+  provider_km_.reserve(servers_.size());
+  for (NodeId id : nodes.server_ids()) {
+    provider_km_.push_back(nodes.distance_km(kProviderNode, id));
+  }
   rebuild_topics();
 
   end_time_ = updates_->duration() + config_.tail_s;
 }
 
-UpdateEngine::~UpdateEngine() = default;
+UpdateEngine::~UpdateEngine() {
+  // Events still queued on a Simulator that outlives the engine reference
+  // slab entries; the last of them frees the slab.
+  if (reliable_->live() > 0) reliable_.release()->orphan();
+}
+
+std::size_t UpdateEngine::reliable_states_live() const {
+  return reliable_->live();
+}
 
 UpdateEngine::SubscriptionState& UpdateEngine::subs_of(NodeId node) {
   if (node == kProviderNode) return provider_subs_;
@@ -756,25 +857,44 @@ sim::SimTime UpdateEngine::draw_latency(NodeId from, NodeId to) {
                           nodes_->crosses_isp(from, to), rng_);
 }
 
+// The meter's distance of one transmission. Almost every message crosses a
+// provider or tree-parent edge, whose distances are cached. The cached
+// value is distance_km in one direction; haversine is symmetric bit for bit,
+// which the EdgeDistance tests check on the scenarios. Other pairs — a
+// re-parented node's stale edge, say — are computed.
+double UpdateEngine::edge_distance_km(NodeId from, NodeId to) const {
+  if (from == kProviderNode) return provider_km_[static_cast<std::size_t>(to)];
+  if (to == kProviderNode) return provider_km_[static_cast<std::size_t>(from)];
+  const ParentEdge& down = parent_edges_[static_cast<std::size_t>(to)];
+  if (down.parent == from) return down.km;
+  const ParentEdge& up = parent_edges_[static_cast<std::size_t>(from)];
+  if (up.parent == to) return up.km;
+  return nodes_->distance_km(from, to);
+}
+
 // Deliveries to an absent server are deferred until it returns
 // (retransmission by the reliable transport); deliveries to a *crashed*
 // server are lost — the node resynchronises when it rejoins.
+template <typename F>
 void UpdateEngine::deliver_at(NodeId to, net::MessageKind kind,
-                              sim::SimTime arrival, sim::EventAction action) {
-  if (to == kProviderNode) {
-    sim_->at(arrival, delivery_tag(kind), std::move(action));
-    return;
+                              sim::SimTime arrival, F action) {
+  auto deliver = [this, to, action = std::move(action)]() mutable {
+    if (to != kProviderNode &&
+        servers_[static_cast<std::size_t>(to)]->departed) {
+      return;
+    }
+    action();
+  };
+  static_assert(sizeof(deliver) <= sim::InlineAction::kInlineCapacity,
+                "a delivery must fit the event queue's inline closure buffer");
+  if (to != kProviderNode) {
+    const ServerState& dest = *servers_[static_cast<std::size_t>(to)];
+    if (dest.absence) {
+      const sim::SimTime available = dest.absence->available_from(arrival);
+      if (available > arrival) arrival = available + 0.001;
+    }
   }
-  const ServerState& dest = *servers_[static_cast<std::size_t>(to)];
-  if (dest.absence) {
-    const sim::SimTime available = dest.absence->available_from(arrival);
-    if (available > arrival) arrival = available + 0.001;
-  }
-  sim_->at(arrival, delivery_tag(kind),
-           [this, to, action = std::move(action)]() mutable {
-             if (servers_[static_cast<std::size_t>(to)]->departed) return;
-             action();
-           });
+  sim_->at(arrival, delivery_tag(kind), std::move(deliver));
 }
 
 void UpdateEngine::record_injected_drop(bool partitioned, NodeId to) {
@@ -796,7 +916,7 @@ UpdateEngine::Wire UpdateEngine::wire(NodeId from, NodeId to,
   const sim::SimTime now = sim_->now();
   const sim::SimTime depart = uplink_of(from).reserve(now, size_kb);
   const sim::SimTime delay = draw_latency(from, to);
-  meter_.record(kind, from, nodes_->distance_km(from, to), size_kb);
+  meter_.record(kind, from, edge_distance_km(from, to), size_kb);
   Wire w;
   w.arrival = depart + delay;
   if (fault::Injector* injector = injector_.get()) {
@@ -812,28 +932,30 @@ UpdateEngine::Wire UpdateEngine::wire(NodeId from, NodeId to,
   return w;
 }
 
+template <typename F>
 void UpdateEngine::send(NodeId from, NodeId to, net::MessageKind kind,
-                        double size_kb, sim::EventAction on_delivery) {
+                        double size_kb, F on_delivery) {
   if (config_.reliable.enabled && reliable_kind(kind)) {
-    send_reliable(from, to, kind, size_kb, std::move(on_delivery));
+    reliable_attempt(
+        new_reliable(from, to, kind, size_kb, std::move(on_delivery)), 0);
     return;
   }
   send_unreliable(from, to, kind, size_kb, std::move(on_delivery));
 }
 
+template <typename F>
 UpdateEngine::Wire UpdateEngine::send_unreliable(NodeId from, NodeId to,
                                                  net::MessageKind kind,
                                                  double size_kb,
-                                                 sim::EventAction on_delivery) {
+                                                 F on_delivery) {
   const Wire w = wire(from, to, kind, size_kb);
   if (w.lost) return w;
   if (w.duplicate) {
     ++counters_.fault_duplicated;
-    // EventAction is move-only; both copies run the same shared action
-    // (at-least-once delivery of an unreliable network).
-    auto shared = std::make_shared<sim::EventAction>(std::move(on_delivery));
-    deliver_at(to, kind, w.arrival, [shared] { (*shared)(); });
-    deliver_at(to, kind, *w.duplicate, [shared] { (*shared)(); });
+    // Both copies run the same action (at-least-once delivery of an
+    // unreliable network).
+    deliver_at(to, kind, w.arrival, on_delivery);
+    deliver_at(to, kind, *w.duplicate, std::move(on_delivery));
     return w;
   }
   deliver_at(to, kind, w.arrival, std::move(on_delivery));
@@ -844,83 +966,94 @@ UpdateEngine::Wire UpdateEngine::send_unreliable(NodeId from, NodeId to,
 // Reliable delivery
 // ---------------------------------------------------------------------------
 
-void UpdateEngine::send_reliable(NodeId from, NodeId to, net::MessageKind kind,
-                                 double size_kb, sim::EventAction on_delivery) {
-  auto st = std::make_shared<ReliableState>();
-  st->from = from;
-  st->to = to;
-  st->kind = kind;
-  st->size_kb = size_kb;
-  st->action = std::move(on_delivery);
-  reliable_attempt(st, 0);
+UpdateEngine::ReliableRef UpdateEngine::new_reliable(
+    NodeId from, NodeId to, net::MessageKind kind, double size_kb,
+    sim::EventAction on_delivery) {
+  ReliableRef ref(reliable_.get(), reliable_->acquire());
+  ref->from = from;
+  ref->to = to;
+  ref->kind = kind;
+  ref->size_kb = size_kb;
+  ref->action = std::move(on_delivery);
+  return ref;
 }
 
-void UpdateEngine::reliable_attempt(const std::shared_ptr<ReliableState>& st,
-                                    int attempt) {
+void UpdateEngine::reliable_attempt(const ReliableRef& ref, int attempt) {
+  ReliableState& st = *ref;
   const sim::SimTime now = sim_->now();
-  const Wire w = wire(st->from, st->to, st->kind, st->size_kb);
+  const Wire w = wire(st.from, st.to, st.kind, st.size_kb);
   if (w.duplicate) {
     ++counters_.fault_duplicated;
-    deliver_at(st->to, st->kind, *w.duplicate,
-               [this, st] { reliable_deliver(st); });
+    deliver_at(st.to, st.kind, *w.duplicate,
+               [this, ref] { reliable_deliver(ref); });
   }
   if (!w.lost) {
-    deliver_at(st->to, st->kind, w.arrival,
-               [this, st] { reliable_deliver(st); });
+    deliver_at(st.to, st.kind, w.arrival,
+               [this, ref] { reliable_deliver(ref); });
   }
 
   // Arm the retransmission deadline regardless of the fate of this copy —
   // the sender cannot know the message was lost, only that no ack came back.
+  // The first ack cancels it.
   const sim::SimTime deadline =
       config_.reliable.ack_timeout_s *
       std::pow(config_.reliable.backoff_factor, attempt);
-  sim_->at(now + deadline, kTagRetry, [this, st, attempt] {
-    if (st->acked) return;
-    // A crashed sender retransmits nothing; churn resync covers its state.
-    if (st->from != kProviderNode &&
-        servers_[static_cast<std::size_t>(st->from)]->departed) {
-      return;
-    }
-    if (attempt >= config_.reliable.max_retries) {
-      ++counters_.reliable_give_ups;
-      if (config_.record_trace_events) {
-        trace_.instant("give_up", "fault", sim_->now(), st->to);
-      }
-      // A flow-controlled pub/sub transmission settles as lost: its credit
-      // frees and the subscriber re-tails the log (unless a late ack
-      // already settled it).
-      if (st->pubsub.has_value() && !st->pubsub->settled) {
-        st->pubsub->settled = true;
-        pubsub_settle(st->from, st->pubsub->channel, st->pubsub->subscriber,
-                      st->pubsub->version, /*ok=*/false, st->pubsub->catch_up,
-                      st->pubsub->generation);
-      }
-      return;
-    }
-    ++counters_.reliable_retries;
-    reliable_attempt(st, attempt + 1);
+  st.retry = sim_->at(now + deadline, kTagRetry, [this, ref, attempt] {
+    reliable_deadline(ref, attempt);
   });
 }
 
-void UpdateEngine::reliable_deliver(const std::shared_ptr<ReliableState>& st) {
-  if (!st->delivered) {
-    st->delivered = true;
-    st->action();
+// A deadline that fires found no ack: retransmit, or give up once the retry
+// budget is spent.
+void UpdateEngine::reliable_deadline(const ReliableRef& ref, int attempt) {
+  ReliableState& st = *ref;
+  // A crashed sender retransmits nothing; churn resync covers its state.
+  if (st.from != kProviderNode &&
+      servers_[static_cast<std::size_t>(st.from)]->departed) {
+    return;
+  }
+  if (attempt >= config_.reliable.max_retries) {
+    ++counters_.reliable_give_ups;
+    if (config_.record_trace_events) {
+      trace_.instant("give_up", "fault", sim_->now(), st.to);
+    }
+    // A flow-controlled pub/sub transmission settles as lost: its credit
+    // frees and the subscriber re-tails the log (unless a late ack already
+    // settled it).
+    if (st.pubsub.has_value() && !st.pubsub->settled) {
+      st.pubsub->settled = true;
+      pubsub_settle(st.from, st.pubsub->channel, st.pubsub->subscriber,
+                    st.pubsub->version, /*ok=*/false, st.pubsub->catch_up,
+                    st.pubsub->generation);
+    }
+    return;
+  }
+  ++counters_.reliable_retries;
+  reliable_attempt(ref, attempt + 1);
+}
+
+void UpdateEngine::reliable_deliver(const ReliableRef& ref) {
+  ReliableState& st = *ref;
+  if (!st.delivered) {
+    st.delivered = true;
+    st.action();
   }
   // Every delivered copy acks (retransmissions included): a lost ack causes
   // a spurious retransmission, which the delivered flag absorbs.
-  send_ack(st);
+  send_ack(ref);
 }
 
-void UpdateEngine::send_ack(const std::shared_ptr<ReliableState>& st) {
-  // The ack travels to -> from; st->to is the sender here.
-  const Wire w = wire(st->to, st->from, net::MessageKind::kAck,
+void UpdateEngine::send_ack(const ReliableRef& ref) {
+  const ReliableState& st = *ref;
+  // The ack travels to -> from; st.to is the sender here.
+  const Wire w = wire(st.to, st.from, net::MessageKind::kAck,
                       config_.light_packet_kb);
   if (w.lost) return;
-  // A duplicated ack is indistinguishable from one: setting `acked` twice
-  // is harmless, so the duplicate is neither scheduled nor counted.
-  deliver_at(st->from, net::MessageKind::kAck, w.arrival,
-             [this, st] { on_ack(st); });
+  // A duplicated ack is indistinguishable from one: the first ack already
+  // cancelled the deadline, so the duplicate is neither scheduled nor
+  // counted.
+  deliver_at(st.from, net::MessageKind::kAck, w.arrival,
+             [this, ref] { on_ack(*ref); });
 }
 
 // ---------------------------------------------------------------------------
@@ -1050,34 +1183,30 @@ void UpdateEngine::pubsub_transmit(NodeId relay, PubsubChannel ch,
                           : net::MessageKind::kInvalidation);
   const double size_kb =
       content ? config_.update_packet_kb : config_.light_packet_kb;
-  sim::EventAction action;
-  if (content) {
-    action = [this, &child, v] { acquire_version(child, v); };
-  } else {
-    action = [this, &child, v] { on_invalidation(child, v); };
-  }
+  const auto action = [this, &child, v, content] {
+    if (content) {
+      acquire_version(child, v);
+    } else {
+      on_invalidation(child, v);
+    }
+  };
   if (!flow_.enabled()) {
-    send(relay, to, kind, size_kb, std::move(action));
+    send(relay, to, kind, size_kb, action);
     return;
   }
   if (config_.reliable.enabled) {
-    auto st = std::make_shared<ReliableState>();
-    st->from = relay;
-    st->to = to;
-    st->kind = kind;
-    st->size_kb = size_kb;
-    st->action = std::move(action);
-    st->pubsub = ReliableState::PubsubRef{ch,       sid,
-                                          v,        catch_up,
-                                          pubsub_generation_, false};
-    reliable_attempt(st, 0);
+    const ReliableRef ref = new_reliable(relay, to, kind, size_kb, action);
+    ref->pubsub = ReliableState::PubsubRef{ch,       sid,
+                                           v,        catch_up,
+                                           pubsub_generation_, false};
+    reliable_attempt(ref, 0);
     return;
   }
   // Unreliable transport: nothing confirms receipt, so the sender settles
   // the credit at the nominal arrival instant of its own transmission (an
   // optimistic transport-level estimate); a copy lost to the injector
   // settles as lost at the same instant.
-  const Wire w = send_unreliable(relay, to, kind, size_kb, std::move(action));
+  const Wire w = send_unreliable(relay, to, kind, size_kb, action);
   const bool ok = !w.lost;
   const std::uint64_t gen = pubsub_generation_;
   sim_->at(w.arrival, kTagPubsubSettle,
@@ -1134,13 +1263,15 @@ void UpdateEngine::pubsub_send_tail(NodeId relay, PubsubChannel ch,
   pubsub_transmit(relay, ch, sid, head, /*catch_up=*/true);
 }
 
-void UpdateEngine::on_ack(const std::shared_ptr<ReliableState>& st) {
-  st->acked = true;
-  if (st->pubsub.has_value() && !st->pubsub->settled) {
-    st->pubsub->settled = true;
-    pubsub_settle(st->from, st->pubsub->channel, st->pubsub->subscriber,
-                  st->pubsub->version, /*ok=*/true, st->pubsub->catch_up,
-                  st->pubsub->generation);
+void UpdateEngine::on_ack(ReliableState& st) {
+  // Acked: the deadline would only find the ack and return. Cancelling it
+  // drops its reference; the ack's own closure keeps the entry alive.
+  st.retry.cancel();
+  if (st.pubsub.has_value() && !st.pubsub->settled) {
+    st.pubsub->settled = true;
+    pubsub_settle(st.from, st.pubsub->channel, st.pubsub->subscriber,
+                  st.pubsub->version, /*ok=*/true, st.pubsub->catch_up,
+                  st.pubsub->generation);
   }
 }
 
@@ -1155,6 +1286,16 @@ void UpdateEngine::rebuild_topics() {
   // In-flight confirmations refer to the ids of the topics being replaced;
   // bumping the generation drops them instead of misattributing credits.
   ++pubsub_generation_;
+  // The meter's parent-edge cache follows the same topology. The provider's
+  // edges are read from provider_km_, and a detached server (parent <
+  // kProviderNode) matches no sender.
+  parent_edges_.resize(servers_.size());
+  for (std::size_t i = 0; i < servers_.size(); ++i) {
+    const auto id = static_cast<NodeId>(i);
+    const NodeId parent = infra_.parent_of(id);
+    parent_edges_[i] = {parent,
+                        parent >= 0 ? nodes_->distance_km(parent, id) : 0.0};
+  }
   topics_.assign(servers_.size() + 1, NodeTopics(config_.pubsub.log_capacity));
   for (NodeId node = kProviderNode;
        node < static_cast<NodeId>(servers_.size()); ++node) {
@@ -1189,7 +1330,7 @@ void UpdateEngine::meter_subscriptions() {
     const auto register_subs = [&](const pubsub::Topic& topic) {
       for (const pubsub::Subscriber& s : topic.subscribers()) {
         meter_.record(net::MessageKind::kSubscribe, s.node,
-                      nodes_->distance_km(s.node, node),
+                      edge_distance_km(s.node, node),
                       config_.light_packet_kb);
       }
     };
@@ -1444,19 +1585,17 @@ void UpdateEngine::issue_fetch_request(ServerState& s) {
 }
 
 void UpdateEngine::arm_fetch_guard(ServerState& s, int attempt) {
-  ++s.fetch_epoch;
-  const std::uint64_t epoch = s.fetch_epoch;
+  s.fetch_guard.cancel();
   // 2x the one-way ack timeout: the guard covers a round trip plus the
   // response transmission.
   const sim::SimTime deadline =
       2.0 * config_.reliable.ack_timeout_s *
       std::pow(config_.reliable.backoff_factor, attempt);
   ServerState* sp = &s;
-  sim_->at(sim_->now() + deadline, kTagRetry, [this, sp, epoch, attempt] {
+  s.fetch_guard = sim_->at(sim_->now() + deadline, kTagRetry,
+                           [this, sp, attempt] {
     ServerState& srv = *sp;
-    if (srv.fetch_epoch != epoch || !srv.fetch_in_flight || srv.departed) {
-      return;
-    }
+    if (!srv.fetch_in_flight || srv.departed) return;
     if (attempt >= config_.reliable.max_retries) {
       give_up_fetch(srv);
       return;
@@ -1493,6 +1632,9 @@ void UpdateEngine::give_up_fetch(ServerState& s) {
 
 void UpdateEngine::on_fetch_response(ServerState& s, Version v) {
   obs::ProfileScope scope(profiler_, ps_fetch_);
+  // The response ends the exchange: a guard still pending would find no
+  // fetch in flight (a fetch started later arms a guard of its own).
+  s.fetch_guard.cancel();
   s.fetch_in_flight = false;
   acquire_version(s, v);
   if (s.invalidation_active() && s.invalid_known > version_of(s.id)) {
@@ -1608,7 +1750,7 @@ void UpdateEngine::apply_repair(const RepairReport& report) {
   rebuild_topics();
   for (const RepairEdge& edge : report.new_edges) {
     meter_.record(net::MessageKind::kTreeMaintenance, edge.child,
-                  nodes_->distance_km(edge.child, edge.new_parent),
+                  edge_distance_km(edge.child, edge.new_parent),
                   config_.light_packet_kb);
     ServerState& child = *servers_[static_cast<std::size_t>(edge.child)];
     // Re-parenting can change the child's method (and with it blockedness).

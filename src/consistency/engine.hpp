@@ -283,6 +283,16 @@ class UpdateEngine {
   /// Churn statistics (0 when churn is disabled).
   std::size_t failures_injected() const { return failures_injected_; }
 
+  /// The distance the meter charges a message from `from` to `to`. Provider
+  /// and tree-parent edges (either direction) are read from per-server
+  /// caches, filled at construction and after every repair; any other pair
+  /// is computed. Equal to nodes.distance_km(from, to) bit for bit.
+  double edge_distance_km(topology::NodeId from, topology::NodeId to) const;
+  /// Reliable transmissions whose state some queued event still references
+  /// (a copy in flight, an ack, a retry deadline). Zero once the simulator
+  /// has drained.
+  std::size_t reliable_states_live() const;
+
   /// The engine's metric registry. Populated by publish_run_stats():
   /// counters and the per-server inconsistency histograms accumulate during
   /// the run and are folded in deterministically, then the end-of-run
@@ -322,7 +332,10 @@ class UpdateEngine {
     pubsub::FanoutStats pubsub;  // pub/sub walker counters
   };
 
-  // message transport
+  // message transport. The send functions are templates on the caller's
+  // delivery closure, so a delivery is one closure stored inline in the
+  // event queue (no type-erased action nested in another). They are
+  // defined in engine.cpp, where every caller is.
   /// Outcome of one wire step: when the message arrives (injected jitter
   /// included), whether the injector dropped it, and when an injected
   /// duplicate arrives.
@@ -335,28 +348,37 @@ class UpdateEngine {
   /// draw, meter, injector verdict. Schedules nothing.
   Wire wire(topology::NodeId from, topology::NodeId to, net::MessageKind kind,
             double size_kb);
+  template <typename F>
   void send(topology::NodeId from, topology::NodeId to, net::MessageKind kind,
-            double size_kb, sim::EventAction on_delivery);
+            double size_kb, F on_delivery);
   /// Delivers the message and any injected duplicate; returns the wire
   /// outcome.
+  template <typename F>
   Wire send_unreliable(topology::NodeId from, topology::NodeId to,
-                       net::MessageKind kind, double size_kb,
-                       sim::EventAction on_delivery);
+                       net::MessageKind kind, double size_kb, F on_delivery);
   /// Schedules a delivery at `arrival`: absence deferral and the departed
   /// guard for server destinations.
+  template <typename F>
   void deliver_at(topology::NodeId to, net::MessageKind kind,
-                  sim::SimTime arrival, sim::EventAction action);
+                  sim::SimTime arrival, F action);
   sim::SimTime draw_latency(topology::NodeId from, topology::NodeId to);
   net::Uplink& uplink_of(topology::NodeId node);
   const net::GeoPoint& location_of(topology::NodeId node) const;
 
-  // reliable delivery (hard-state messages, see EngineConfig::reliable)
-  void send_reliable(topology::NodeId from, topology::NodeId to,
-                     net::MessageKind kind, double size_kb,
-                     sim::EventAction on_delivery);
-  void reliable_attempt(const std::shared_ptr<ReliableState>& st, int attempt);
-  void reliable_deliver(const std::shared_ptr<ReliableState>& st);
-  void send_ack(const std::shared_ptr<ReliableState>& st);
+  // reliable delivery (hard-state messages, see EngineConfig::reliable).
+  // The per-message state lives in a slab (ReliableSlab) and the events of
+  // one transmission share it through counted ReliableRef handles.
+  class ReliableSlab;
+  class ReliableRef;
+  /// A new slab entry for one reliable message, not yet sent.
+  ReliableRef new_reliable(topology::NodeId from, topology::NodeId to,
+                           net::MessageKind kind, double size_kb,
+                           sim::EventAction on_delivery);
+  void reliable_attempt(const ReliableRef& ref, int attempt);
+  void reliable_deadline(const ReliableRef& ref, int attempt);
+  void reliable_deliver(const ReliableRef& ref);
+  void send_ack(const ReliableRef& ref);
+  void on_ack(ReliableState& st);
 
   // fault injection
   void record_injected_drop(bool partitioned, topology::NodeId to);
@@ -393,10 +415,11 @@ class UpdateEngine {
     NodeTopics& t = topics_[static_cast<std::size_t>(node + 1)];
     return ch == PubsubChannel::kContent ? t.content : t.notice;
   }
-  /// Rebuilds topics_ from the infrastructure. Called at construction and
-  /// after every repair — the only times the topology or a node's method
-  /// can change. Bumps pubsub_generation_ so in-flight confirmations of
-  /// the old subscriber ids are dropped instead of misattributed.
+  /// Rebuilds topics_ and parent_edges_ from the infrastructure. Called at
+  /// construction and after every repair — the only times the topology or
+  /// a node's method can change. Bumps pubsub_generation_ so in-flight
+  /// confirmations of the old subscriber ids are dropped instead of
+  /// misattributed.
   void rebuild_topics();
   /// Topic fan-out of `v` from `node` on channel `ch`.
   void pubsub_publish(topology::NodeId node, PubsubChannel ch,
@@ -423,7 +446,6 @@ class UpdateEngine {
   /// Meters one kSubscribe registration per (topic, subscriber) when flow
   /// control is on — the subscription traffic of the pub/sub layer.
   void meter_subscriptions();
-  void on_ack(const std::shared_ptr<ReliableState>& st);
 
   // provider side
   void on_provider_update(trace::Version v);
@@ -516,6 +538,18 @@ class UpdateEngine {
   util::Rng rng_;
   std::unique_ptr<fault::Injector> injector_;
   Infrastructure infra_;
+  /// Edge caches behind edge_distance_km(), index = server id: the
+  /// provider-to-server distance (constructor), and the server's tree
+  /// parent with the parent-to-server distance (rebuild_topics()).
+  struct ParentEdge {
+    topology::NodeId parent = topology::kProviderNode;
+    double km = 0;
+  };
+  std::vector<double> provider_km_;
+  std::vector<ParentEdge> parent_edges_;
+  /// Owned by the engine until it dies; then handed to the queued events
+  /// that still reference it, if its Simulator has not drained.
+  std::unique_ptr<ReliableSlab> reliable_;
   net::LatencyModel latency_;
   net::TrafficMeter meter_;
   std::unique_ptr<cdn::Provider> provider_;

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "util/error.hpp"
 
 namespace cdnsim::analysis {
@@ -93,6 +95,30 @@ TEST(ServerInconsistencyTest, PromptServerHasSmallLengths) {
   const auto lengths = server_inconsistency_lengths(s0, tl);
   // Server 0 last served v0 at t=90, before v1 appeared: no positive length.
   for (double x : lengths) EXPECT_LE(x, 0.0 + 1e-9);
+}
+
+// beta_s(v) is the largest time the server served v, folded from 0.0: a
+// version served only at negative (clock-corrected) times counts as last
+// served at 0. Rows arrive out of version order, and the outputs come in
+// ascending version order.
+TEST(ServerInconsistencyTest, LastServedIsThePerVersionMaximumFromZero) {
+  // v0 superseded at -20, v1 at 10, v2 at 40; v3 never.
+  const SnapshotTimeline tl({{0, -50.0}, {1, -20.0}, {2, 10.0}, {3, 40.0}});
+  const std::vector<Observation> rows = {
+      {0, 30.0, 2, true},  {0, -40.0, 0, true}, {0, 5.0, 1, true},
+      {0, -25.0, 0, true}, {0, 45.0, 2, true},  {0, -5.0, 1, true},
+      {0, 100.0, 3, false}, {0, 50.0, 3, true}};
+  // beta: v0 0.0 (not -25), v1 5, v2 45, v3 50.
+  const auto lengths = server_inconsistency_lengths(rows, tl);
+  ASSERT_EQ(lengths.size(), 2u);
+  EXPECT_EQ(lengths[0], 20.0);  // v0: 0 - (-20)
+  EXPECT_EQ(lengths[1], 5.0);   // v2: 45 - 40; v1 (5 - 10) is not positive
+  const auto intervals = server_inconsistency_intervals(rows, tl);
+  ASSERT_EQ(intervals.size(), 2u);
+  EXPECT_EQ(intervals[0].start, -20.0);
+  EXPECT_EQ(intervals[0].end, 0.0);
+  EXPECT_EQ(intervals[1].start, 40.0);
+  EXPECT_EQ(intervals[1].end, 45.0);
 }
 
 TEST(ConsistencyRatioTest, PerfectServerIsOne) {
